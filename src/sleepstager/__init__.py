@@ -27,12 +27,7 @@ from .evaluate import (
 )
 from .features_low import (
     FrameConfig,
-    LowLevelFeature,
-    actigraphy_features,
-    dominant_freq_features,
     frame_indices,
-    low_level_for_epoch,
-    mean_rr_features,
     recording_low_features,
 )
 from .features_mid import (
@@ -100,7 +95,6 @@ __all__ = [
     "FoldResult",
     "FrameConfig",
     "HeartRateSeries",
-    "LowLevelFeature",
     "NetSpec",
     "Network",
     "NormStats",
@@ -109,7 +103,6 @@ __all__ = [
     "SleepStage",
     "SynthConfig",
     "TrainConfig",
-    "actigraphy_features",
     "assemble_final",
     "bow_encode",
     "class_names",
@@ -117,7 +110,6 @@ __all__ = [
     "context_only_config",
     "cross_validate",
     "dct2",
-    "dominant_freq_features",
     "epoch_actigraphy",
     "epoch_rr",
     "finite_difference_gradients",
@@ -137,10 +129,8 @@ __all__ = [
     "load_model",
     "load_recording",
     "loss",
-    "low_level_for_epoch",
     "make_sequences",
     "map_to_four_class",
-    "mean_rr_features",
     "merge_scorer_labels",
     "network_backward",
     "network_forward",

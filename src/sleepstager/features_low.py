@@ -12,7 +12,8 @@ three blocks:
                         first 30 coefficients
 
 Heart rate context comes from the whole frame; actigraphy stays local to
-the epoch being described.
+the epoch being described. Every block is computed once per epoch for the
+whole recording, and frames gather their epochs' rows by index.
 """
 
 from __future__ import annotations
@@ -21,8 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Recording, RrEpoch, epoch_actigraphy, epoch_rr, impute_empty_rr
+from .ingest import MIN_EPOCH_ACTIGRAPHY, Recording, RrEpoch
+from .ingest import epoch_actigraphy, epoch_rr, impute_empty_rr
 from .transforms import dct2, real_cepstrum
+
+# Epochs per batched cepstrum call: bounds the transient complex spectra
+# to a few MB whatever the night's length.
+CEPSTRUM_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -47,103 +53,80 @@ class FrameConfig:
         return f + f * (3 * n - 3) + 3 * c
 
 
-@dataclass(frozen=True)
-class LowLevelFeature:
-    """The three feature blocks for one epoch; ``vector`` is their concatenation."""
-
-    mean_rr: np.ndarray
-    freq: np.ndarray
-    act_ceps: np.ndarray
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.mean_rr, self.freq, self.act_ceps])
-
-
-def frame_indices(t: int, total: int, frame_epochs: int) -> np.ndarray:
+def frame_indices(t, total: int, frame_epochs: int) -> np.ndarray:
     """Contiguous frame of epoch indices around t, shifted to fit in range.
 
     For even widths the window is asymmetric ([t-5, t+4] at width 10); near
     the record edges it slides inward rather than padding, so it always
-    holds frame_epochs real epochs and always contains t.
+    holds frame_epochs real epochs and always contains t. An array of
+    epoch indices gives one frame per index, along a new last axis.
     """
     if total < frame_epochs:
         raise ValueError(f"recording has {total} epochs, frame needs {frame_epochs}")
-    if not 0 <= t < total:
+    t = np.asarray(t)
+    if np.any((t < 0) | (t >= total)):
         raise ValueError(f"epoch index {t} out of range [0, {total})")
-    start = min(max(t - frame_epochs // 2, 0), total - frame_epochs)
-    return np.arange(start, start + frame_epochs)
+    start = np.clip(t - frame_epochs // 2, 0, total - frame_epochs)
+    return start[..., None] + np.arange(frame_epochs)
 
 
-def mean_rr_features(frame: list[RrEpoch]) -> np.ndarray:
-    """Arithmetic mean RR interval of each epoch in the frame, in frame order."""
-    return np.array([float(np.mean(e.rr)) for e in frame])
-
-
-def dominant_freq_features(epoch: RrEpoch, n: int) -> np.ndarray:
-    """Leading DCT coefficients of the epoch's RR sequence plus differences.
+def dct_block(rr_epochs: list[RrEpoch], n: int) -> np.ndarray:
+    """Leading DCT coefficients of each epoch's RR sequence plus differences.
 
     The first n coefficients capture the slow trend of the interval series
-    (energy compaction pushes signal into the leading bins). The coefficient
-    vector is zero-padded to n when the epoch holds fewer than n samples,
-    then first and second adjacent differences are appended: n + (n-1) +
-    (n-2) values.
+    (energy compaction pushes signal into the leading bins). Each epoch's
+    coefficient vector is zero-padded to n when it holds fewer than n
+    samples, then first and second adjacent differences are appended: one
+    row of n + (n-1) + (n-2) values per epoch.
     """
-    coeffs = dct2(epoch.rr)
-    d = np.zeros(n)
-    take = min(n, coeffs.size)
-    d[:take] = coeffs[:take]
-    return np.concatenate([d, np.diff(d), np.diff(d, n=2)])
+    d = np.zeros((len(rr_epochs), n))
+    for k, epoch in enumerate(rr_epochs):
+        coeffs = dct2(epoch.rr)[:n]
+        d[k, : coeffs.size] = coeffs
+    return np.concatenate([d, np.diff(d, axis=1), np.diff(d, n=2, axis=1)], axis=1)
 
 
-def actigraphy_features(samples: np.ndarray, cepstrum_components: int) -> np.ndarray:
+def cepstrum_block(act_epochs: list[np.ndarray], cepstrum_components: int) -> np.ndarray:
     """Leading cepstral coefficients of each axis's first-differenced signal.
 
-    ``samples`` has shape (m, 3) for one epoch, m >= 2. Differencing removes
-    the gravity offset so the cepstrum sees movement, not posture. Axes are
-    concatenated x|y|z, 3 * cepstrum_components dims total; coefficient runs
-    shorter than requested (tiny epochs) are zero-padded.
+    Entry k of ``act_epochs`` has shape (m_k, 3), m_k >= 3. Differencing
+    removes the gravity offset so the cepstrum sees movement, not posture.
+    Each epoch's row is x|y|z, 3 * cepstrum_components values; coefficient
+    runs shorter than requested (tiny epochs) are zero-padded. Epochs of
+    equal length are transformed together, CEPSTRUM_CHUNK at a time.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] != 3:
-        raise ValueError(f"expected (m, 3) samples, got {samples.shape}")
-    if samples.shape[0] < 2:
-        raise ValueError("actigraphy epoch needs at least 2 samples")
-    blocks = []
-    for axis in range(3):
-        ceps = real_cepstrum(np.diff(samples[:, axis]))
-        block = np.zeros(cepstrum_components)
-        take = min(cepstrum_components, ceps.size)
-        block[:take] = ceps[:take]
-        blocks.append(block)
-    return np.concatenate(blocks)
-
-
-def low_level_for_epoch(
-    rr_epochs: list[RrEpoch],
-    act_epochs: list[np.ndarray],
-    t: int,
-    cfg: FrameConfig,
-) -> LowLevelFeature:
-    """Assemble the full low-level vector for epoch t.
-
-    ``rr_epochs`` must already be imputed (no empty epochs). Heart rate
-    blocks read the whole frame around t; the actigraphy block reads epoch
-    t alone.
-    """
-    idx = frame_indices(t, len(rr_epochs), cfg.frame_epochs)
-    frame = [rr_epochs[j] for j in idx]
-    freq = np.concatenate([dominant_freq_features(e, cfg.freq_components) for e in frame])
-    return LowLevelFeature(
-        mean_rr=mean_rr_features(frame),
-        freq=freq,
-        act_ceps=actigraphy_features(act_epochs[t], cfg.cepstrum_components),
-    )
+    c = cepstrum_components
+    lengths = np.array([a.shape[0] for a in act_epochs], dtype=np.int64)
+    short = np.flatnonzero(lengths < MIN_EPOCH_ACTIGRAPHY)
+    if short.size:
+        raise ValueError(
+            f"actigraphy epoch {short[0]} needs at least {MIN_EPOCH_ACTIGRAPHY} samples"
+        )
+    out = np.zeros((len(act_epochs), 3, c))
+    for m in np.unique(lengths):
+        group = np.flatnonzero(lengths == m)
+        take = min(c, m - 1)
+        for start in range(0, group.size, CEPSTRUM_CHUNK):
+            ks = group[start : start + CEPSTRUM_CHUNK]
+            samples = np.stack([act_epochs[k] for k in ks])  # (b, m, 3)
+            ceps = real_cepstrum(np.diff(samples, axis=1).transpose(0, 2, 1))
+            out[ks, :, :take] = ceps[:, :, :take]
+    return out.reshape(len(act_epochs), 3 * c)
 
 
 def recording_low_features(rec: Recording, cfg: FrameConfig) -> np.ndarray:
-    """Low-level feature matrix for a whole recording, shape (num_epochs, dim)."""
+    """Low-level feature matrix for a whole recording, shape (num_epochs, dim).
+
+    Row t is the frame's mean RR intervals, then the frame's DCT blocks in
+    frame order, then epoch t's own cepstra: heart rate blocks read the
+    whole frame around t (``frame_indices``), the actigraphy block reads
+    epoch t alone. Empty RR epochs are imputed first.
+    """
     rr_epochs = impute_empty_rr(epoch_rr(rec))
     act_epochs = epoch_actigraphy(rec)
-    rows = [low_level_for_epoch(rr_epochs, act_epochs, t, cfg).vector for t in range(rec.num_epochs)]
-    return np.stack(rows, axis=0)
+    n = rec.num_epochs
+    frames = frame_indices(np.arange(n), n, cfg.frame_epochs)
+    mean_rr = np.array([np.mean(e.rr) for e in rr_epochs])
+    freq = dct_block(rr_epochs, cfg.freq_components)
+    ceps = cepstrum_block(act_epochs, cfg.cepstrum_components)
+    return np.concatenate([mean_rr[frames], freq[frames].reshape(n, -1), ceps], axis=1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import os
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -27,6 +28,9 @@ import numpy as np
 EPOCH_SECONDS = 30.0
 ACTIGRAPHY_RATE_HZ = 32.0
 RATE_TOLERANCE = 0.05
+# An epoch's cepstra are of its first-differenced actigraphy, and a
+# cepstrum needs at least 2 values.
+MIN_EPOCH_ACTIGRAPHY = 3
 
 
 class DataValidationError(ValueError):
@@ -154,27 +158,36 @@ def hr_to_rr(hr: float) -> float:
     return 60.0 / hr
 
 
+def _split_epochs(values: np.ndarray, t: np.ndarray, rec: Recording) -> list[np.ndarray]:
+    """Rows of ``values`` (one per time in ``t``) bucketed into the recording's epochs.
+
+    A sample at time t belongs to epoch floor(t / epoch_seconds); samples
+    outside the span are dropped and each epoch keeps its samples' order.
+    """
+    idx = np.floor(t / rec.epoch_seconds).astype(np.int64)
+    if np.any(idx[1:] < idx[:-1]):
+        order = np.argsort(idx, kind="stable")
+        idx, values = idx[order], values[order]
+    bounds = np.searchsorted(idx, np.arange(rec.num_epochs + 1))
+    return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def epoch_rr(rec: Recording) -> list[RrEpoch]:
     """Bucket heart rate samples into per-epoch RR interval lists.
 
-    A sample at time t belongs to epoch floor(t / epoch_seconds); epoch
-    windows are half-open [k*e, (k+1)*e) so every in-span sample lands in
-    exactly one epoch. Epochs with no samples come back empty and flagged.
+    Epoch windows are half-open [k*e, (k+1)*e), so every in-span sample
+    lands in exactly one epoch. Epochs with no samples come back empty and
+    flagged.
     """
-    n = rec.num_epochs
-    rr = 60.0 / rec.hr.bpm
-    idx = np.floor(rec.hr.t / rec.epoch_seconds).astype(np.int64)
-    epochs = []
-    for k in range(n):
-        epochs.append(RrEpoch(rr=rr[idx == k]))
-    return epochs
+    return [RrEpoch(rr=rr) for rr in _split_epochs(60.0 / rec.hr.bpm, rec.hr.t, rec)]
 
 
 def epoch_actigraphy(rec: Recording) -> list[np.ndarray]:
-    """Bucket actigraphy samples per epoch; each entry has shape (n_k, 3)."""
-    n = rec.num_epochs
-    idx = np.floor(rec.act.t / rec.epoch_seconds).astype(np.int64)
-    return [rec.act.xyz[idx == k] for k in range(n)]
+    """Bucket actigraphy samples per epoch; each entry has shape (n_k, 3).
+
+    Entries may be views of ``rec.act.xyz``; treat them as read-only.
+    """
+    return _split_epochs(rec.act.xyz, rec.act.t, rec)
 
 
 def impute_empty_rr(epochs: list[RrEpoch]) -> list[RrEpoch]:
@@ -242,47 +255,52 @@ def _truncate(t: np.ndarray, span: float) -> np.ndarray:
     return (t >= 0.0) & (t < span)
 
 
-def load_heart_rate_csv(path: str) -> HeartRateSeries:
-    """Parse a heart-rate CSV (header ``t_seconds,bpm``)."""
-    t, bpm = [], []
+def _float_row(path: str, row: list[str], width: int) -> list[float]:
+    try:
+        return [float(row[i]) for i in range(width)]
+    except (ValueError, IndexError) as exc:
+        raise DataValidationError(f"{path}: bad row {row!r}") from exc
+
+
+def _read_table(path: str, header: list[str], what: str) -> np.ndarray:
+    """Parse a numeric CSV with the given header into shape (rows, len(header)).
+
+    Extra columns are ignored and blank lines skipped. numpy parses the
+    file in one call; a file it refuses (comments, quotes, ``6_0.0``, short
+    or malformed rows) is re-read row by row, accepting what Python's
+    ``float`` accepts and naming the first bad row.
+    """
+    width = len(header)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["t_seconds", "bpm"]:
-            raise DataValidationError(f"{path}: expected header 't_seconds,bpm'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                t.append(float(row[0]))
-                bpm.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise DataValidationError(f"{path}: bad row {row!r}") from exc
-    if not t:
-        raise DataValidationError(f"{path}: no heart rate samples")
-    return HeartRateSeries(t=np.array(t), bpm=np.array(bpm))
+        first = next(reader, None)
+        if first is None or [c.strip() for c in first] != header:
+            raise DataValidationError(f"{path}: expected header '{','.join(header)}'")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below as having no samples
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    path, delimiter=",", skiprows=1, comments=None, usecols=range(width), ndmin=2
+                )
+        except ValueError:
+            rows = [_float_row(path, row, width) for row in reader if row]
+            table = np.array(rows, dtype=np.float64).reshape(-1, width)
+    if table.shape[0] == 0:
+        raise DataValidationError(f"{path}: no {what} samples")
+    return table
+
+
+def load_heart_rate_csv(path: str) -> HeartRateSeries:
+    """Parse a heart-rate CSV (header ``t_seconds,bpm``)."""
+    table = _read_table(path, ["t_seconds", "bpm"], "heart rate")
+    return HeartRateSeries(t=table[:, 0], bpm=table[:, 1])
 
 
 def load_actigraphy_csv(path: str, nominal_rate: float = ACTIGRAPHY_RATE_HZ) -> ActigraphySeries:
     """Parse an actigraphy CSV (header ``t_seconds,x_g,y_g,z_g``)."""
-    t, xyz = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["t_seconds", "x_g", "y_g", "z_g"]
-        if header is None or [c.strip() for c in header] != expected:
-            raise DataValidationError(f"{path}: expected header 't_seconds,x_g,y_g,z_g'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                t.append(float(row[0]))
-                xyz.append((float(row[1]), float(row[2]), float(row[3])))
-            except (ValueError, IndexError) as exc:
-                raise DataValidationError(f"{path}: bad row {row!r}") from exc
-    if not t:
-        raise DataValidationError(f"{path}: no actigraphy samples")
-    return ActigraphySeries(t=np.array(t), xyz=np.array(xyz), nominal_rate=nominal_rate)
+    table = _read_table(path, ["t_seconds", "x_g", "y_g", "z_g"], "actigraphy")
+    return ActigraphySeries(t=table[:, 0], xyz=table[:, 1:], nominal_rate=nominal_rate)
 
 
 def load_labels_csv(path: str) -> list[SleepStage]:
@@ -337,8 +355,9 @@ def load_recording(
 
     Signals are truncated to the label span; a signal whose last sample does
     not reach the final epoch is rejected as too short. Heart rate must be
-    strictly positive and the actigraphy's mean sample rate must sit within
-    5% of its nominal rate.
+    strictly positive, every epoch needs at least MIN_EPOCH_ACTIGRAPHY
+    actigraphy samples, and the actigraphy's mean sample rate must sit
+    within 5% of its nominal rate.
     """
     for p, what in ((hr_path, "heart rate"), (act_path, "actigraphy"), (label_path, "labels")):
         if not os.path.exists(p):
@@ -368,22 +387,26 @@ def load_recording(
     if act.t.size == 0 or act.t[-1] < last_epoch_start:
         raise DataValidationError("actigraphy signal shorter than label span")
 
-    if act.t.size < 2:
-        raise DataValidationError("actigraphy needs at least two samples")
-    mean_rate = (act.t.size - 1) / (act.t[-1] - act.t[0])
-    if abs(mean_rate - act.nominal_rate) / act.nominal_rate > RATE_TOLERANCE:
-        raise DataValidationError(
-            f"actigraphy rate {mean_rate:.3f} Hz deviates more than "
-            f"{RATE_TOLERANCE:.0%} from nominal {act.nominal_rate} Hz"
-        )
-
-    return Recording(
+    rec = Recording(
         subject_id=subject_id,
         hr=hr,
         act=act,
         labels=tuple(labels),
         epoch_seconds=epoch_seconds,
     )
+    for k, samples in enumerate(epoch_actigraphy(rec)):
+        if samples.shape[0] < MIN_EPOCH_ACTIGRAPHY:
+            raise DataValidationError(
+                f"actigraphy epoch {k} has {samples.shape[0]} sample(s); "
+                f"every epoch needs at least {MIN_EPOCH_ACTIGRAPHY}"
+            )
+    mean_rate = (act.t.size - 1) / (act.t[-1] - act.t[0])
+    if abs(mean_rate - act.nominal_rate) / act.nominal_rate > RATE_TOLERANCE:
+        raise DataValidationError(
+            f"actigraphy rate {mean_rate:.3f} Hz deviates more than "
+            f"{RATE_TOLERANCE:.0%} from nominal {act.nominal_rate} Hz"
+        )
+    return rec
 
 
 def _fmt(x: float) -> str:

@@ -28,12 +28,13 @@ def idct2(c: np.ndarray) -> np.ndarray:
 def real_cepstrum(x: np.ndarray) -> np.ndarray:
     """Real cepstrum: inverse DFT of the floored log magnitude spectrum.
 
-    The magnitude is clamped below at 1e-12 before the log. The result of
+    Transforms along the last axis, so each row of a batch is its own
+    signal. The magnitude is clamped below at 1e-12 before the log. The result of
     the inverse DFT is real up to rounding because the log magnitude is an
     even sequence; the real part is returned explicitly.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.size < 2:
-        raise ValueError(f"cepstrum needs at least 2 samples, got {x.size}")
+    if x.ndim == 0 or x.shape[-1] < 2:
+        raise ValueError(f"cepstrum needs at least 2 samples, got shape {x.shape}")
     mag = np.abs(np.fft.fft(x))
     return np.real(np.fft.ifft(np.log(np.maximum(mag, LOG_FLOOR))))

@@ -208,6 +208,31 @@ def test_data_errors_exit_2(tmp_path):
     assert cli.main(["validate", str(tmp_path / "missing")]) == 2
 
 
+def test_sparse_actigraphy_epoch_exits_2_in_every_command(cohort_dir, tmp_path, capsys):
+    # a 2 h night with the 30 s of actigraphy of epoch 100 deleted
+    night = str(tmp_path / "night")
+    assert cli.main(["synth", night, "--recordings", "1", "--epochs", "240"]) == 0
+    act = os.path.join(night, "s00_act.csv")
+    with open(act) as fh:
+        header, *rows = fh.readlines()
+    with open(act, "w") as fh:
+        fh.write(header)
+        fh.writelines(r for r in rows if not 3000.0 <= float(r.split(",")[0]) < 3030.0)
+    model = str(tmp_path / "model.bin")
+    assert cli.main(["train", cohort_dir, model] + FAST) == 0
+    capsys.readouterr()
+    errors = []
+    for argv in (
+        ["validate", night],
+        ["extract", night, str(tmp_path / "low")] + FAST,
+        ["eval", model, night],
+    ):
+        assert cli.main(argv) == 2, argv
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == errors[2]
+    assert "actigraphy epoch 100 has 0 sample(s)" in errors[0]
+
+
 def test_corrupt_csv_exits_2(tmp_path):
     d = str(tmp_path / "data")
     assert cli.main(["synth", d, "--recordings", "2", "--epochs", "8"]) == 0

@@ -1,5 +1,10 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sleepstager.ingest import (
     ActigraphySeries,
@@ -15,13 +20,18 @@ from sleepstager.ingest import (
     epoch_rr,
     hr_to_rr,
     impute_empty_rr,
+    load_actigraphy_csv,
     load_cohort,
+    load_heart_rate_csv,
+    load_labels_csv,
     load_recording,
     map_to_four_class,
     merge_scorer_labels,
     save_recording,
     stages_to_indices,
 )
+
+from per_epoch_oracle import mask_epoch_actigraphy, mask_epoch_rr, row_loop_table
 
 W, N1, N2, N3, REM = (
     SleepStage.W,
@@ -90,6 +100,29 @@ class TestRrConversion:
         assert all(e.shape == (960, 3) for e in per_epoch)
         total = np.concatenate(per_epoch, axis=0)
         np.testing.assert_array_equal(total, rec.act.xyz)
+
+    @given(st.data())
+    def test_bucketing_matches_per_epoch_masks(self, data):
+        # any times: unsorted, outside the span, on and just below epoch boundaries
+        e = data.draw(st.sampled_from([30.0, 7.3, 0.1]), label="epoch_seconds")
+        n = data.draw(st.integers(0, 6), label="epochs")
+        boundary = st.integers(-2, n + 2).map(lambda k: k * e)
+        below = boundary.map(lambda b: float(np.nextafter(b, -np.inf)))
+        times = st.one_of(st.floats(-2 * e, (n + 2) * e), boundary, below)
+        hr_t = np.array(data.draw(st.lists(times, max_size=40), label="hr_t"))
+        act_t = np.array(data.draw(st.lists(times, max_size=40), label="act_t"))
+        rec = Recording(
+            subject_id="x",
+            hr=HeartRateSeries(t=hr_t, bpm=50.0 + np.arange(hr_t.size)),
+            act=ActigraphySeries(t=act_t, xyz=np.arange(3.0 * act_t.size).reshape(-1, 3)),
+            labels=(W,) * n,
+            epoch_seconds=e,
+        )
+        got = [e.rr for e in epoch_rr(rec)] + epoch_actigraphy(rec)
+        expect = [e.rr for e in mask_epoch_rr(rec)] + mask_epoch_actigraphy(rec)
+        assert len(got) == len(expect) == 2 * n
+        for a, b in zip(got, expect):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestImputation:
@@ -213,6 +246,95 @@ class TestCsvRoundTrip:
             load_labels_csv(str(p))
 
 
+HEADERS = {
+    "hr": ["t_seconds", "bpm"],
+    "act": ["t_seconds", "x_g", "y_g", "z_g"],
+}
+ROWS = {"hr": ("0.0,61.5", "1.0,62.25"), "act": ("0.0,0.1,-0.2,1.0", "0.03125,0.5,1e-3,-0.0")}
+# file bodies around two valid rows r0, r1; "f" and "rest" split r0 at its first comma
+CSV_CASES = {
+    "comment_line": "{h}\n{r0}\n# comment\n{r1}\n",
+    "whitespace_line": "{h}\n{r0}\n   \n{r1}\n",
+    "extra_column": "{h}\n{r0},9.5\n{r1},1.5\n",
+    "extra_text_column": "{h}\n{r0},9.5\n{r1},x\n",
+    "underscore_digits": "{h}\n6_0.0,{rest}\n{r1}\n",
+    "quoted_field": '{h}\n"{f}",{rest}\n{r1}\n',
+    "header_only": "{h}\n",
+    "crlf": "{h}\r\n{r0}\r\n{r1}\r\n",
+    "blank_line": "{h}\n{r0}\n\n{r1}\n",
+    "nan": "{h}\nnan,{rest}\n{r1}\n",
+    "short_row": "{h}\n{r0}\n{f}\n",
+    "padded_fields": "{h}\n {f} ,{rest}\n{r1}\n",
+    "bare_cr": "{h}\r{r0}\r{r1}\r",
+    "no_final_newline": "{h}\n{r0}\n{r1}",
+    "bad_header": "t,{rest}\n{r0}\n",
+}
+
+
+def _load_table(kind, path):
+    if kind == "hr":
+        s = load_heart_rate_csv(path)
+        return np.column_stack([s.t, s.bpm])
+    s = load_actigraphy_csv(path)
+    return np.column_stack([s.t, s.xyz])
+
+
+class TestCsvParsers:
+    """The numpy parser must agree bit for bit with the row-by-row parser."""
+
+    @pytest.mark.parametrize("kind", ["hr", "act"])
+    @pytest.mark.parametrize("case", sorted(CSV_CASES))
+    def test_matches_row_loop(self, tmp_path, kind, case):
+        r0, r1 = ROWS[kind]
+        f, rest = r0.split(",", 1)
+        body = CSV_CASES[case].format(h=",".join(HEADERS[kind]), r0=r0, r1=r1, f=f, rest=rest)
+        path = str(tmp_path / f"{kind}.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(body)
+        what = "heart rate" if kind == "hr" else "actigraphy"
+        try:
+            expect = row_loop_table(path, HEADERS[kind], what)
+        except DataValidationError as exc:
+            with pytest.raises(DataValidationError) as got:
+                _load_table(kind, path)
+            assert str(got.value) == str(exc)
+            return
+        got = _load_table(kind, path)
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+    def test_header_only_has_no_samples(self, tmp_path):
+        path = tmp_path / "hr.csv"
+        path.write_text("t_seconds,bpm\n")
+        with pytest.raises(DataValidationError, match="no heart rate samples"):
+            load_heart_rate_csv(str(path))
+
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda n: st.tuples(
+                arrays(np.float64, (n,), elements=st.floats(allow_nan=False)),
+                arrays(np.float64, (n,), elements=st.floats(allow_nan=False)),
+                arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False)),
+                st.lists(st.sampled_from(list(SleepStage)), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_save_load_round_trip_is_bit_exact(self, case):
+        t, bpm, xyz, labels = case
+        rec = Recording(
+            subject_id="r",
+            hr=HeartRateSeries(t=t, bpm=bpm),
+            act=ActigraphySeries(t=t, xyz=xyz),
+            labels=tuple(labels),
+        )
+        with tempfile.TemporaryDirectory() as d:
+            paths = save_recording(rec, d)
+            hr = load_heart_rate_csv(paths["hr"])
+            act = load_actigraphy_csv(paths["act"])
+            assert load_labels_csv(paths["labels"]) == labels
+        for got, expect in ((hr.t, t), (hr.bpm, bpm), (act.t, t), (act.xyz, xyz)):
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
 class TestRecordingValidation:
     def _paths(self, tmp_path, rec):
         return save_recording(rec, str(tmp_path))
@@ -280,6 +402,23 @@ class TestRecordingValidation:
         )
         paths = self._paths(tmp_path, bad)
         with pytest.raises(DataValidationError, match="rate"):
+            load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+
+    def test_sparse_actigraphy_epoch_rejected(self, tmp_path):
+        # two samples left in one epoch: too few for its cepstra, though the
+        # night's mean rate stays within 5%
+        rec = make_recording(n_epochs=30)
+        in_17 = np.flatnonzero(np.floor(rec.act.t / 30.0) == 17)
+        keep = np.ones(rec.act.t.size, dtype=bool)
+        keep[in_17[2:]] = False
+        sparse = Recording(
+            subject_id="s01",
+            hr=rec.hr,
+            act=ActigraphySeries(t=rec.act.t[keep], xyz=rec.act.xyz[keep]),
+            labels=rec.labels,
+        )
+        paths = self._paths(tmp_path, sparse)
+        with pytest.raises(DataValidationError, match=r"actigraphy epoch 17 has 2 sample\(s\)"):
             load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
 
     def test_missing_file_rejected(self, tmp_path):
