@@ -36,7 +36,7 @@ from .evaluate import (
 )
 from .features_low import recording_low_features
 from .features_mid import kmeans_fit
-from .ingest import DataValidationError, load_cohort, save_recording, stages_to_indices
+from .ingest import DataValidationError, _fmt, load_cohort, save_recording, stages_to_indices
 from .modelio import load_model, save_dictionary, save_model
 from .network import NetSpec, network_forward, predict_stages
 from .pipeline import FittedModel, fit_pipeline, make_sequences
@@ -58,10 +58,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract here is 1.
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _cfg(args) -> RunConfig:

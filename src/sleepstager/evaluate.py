@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .features_low import FrameConfig, recording_low_features
-from .ingest import Recording, class_names, stages_to_indices
+from .ingest import Recording, _fmt, class_names, stages_to_indices
 from .network import NetSpec, network_forward, predict_stages
 from .pipeline import FittedPipeline, fit_pipeline, make_sequences
 from .training import TrainConfig, init_params, train
@@ -198,10 +198,6 @@ def cross_validate(
         recall=float(np.mean([f.recall for f in results])),
         f1=float(np.mean([f.f1 for f in results])),
     )
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_cv_csv(report: CvReport, path: str) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -262,6 +263,16 @@ def _float_row(path: str, row: list[str], width: int) -> list[float]:
         raise DataValidationError(f"{path}: bad row {row!r}") from exc
 
 
+@contextmanager
+def _open_csv(path: str):
+    """Open a CSV for reading; bytes that are not UTF-8 are a data error."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not UTF-8 text") from exc
+
+
 def _read_table(path: str, header: list[str], what: str) -> np.ndarray:
     """Parse a numeric CSV with the given header into shape (rows, len(header)).
 
@@ -271,7 +282,7 @@ def _read_table(path: str, header: list[str], what: str) -> np.ndarray:
     ``float`` accepts and naming the first bad row.
     """
     width = len(header)
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None or [c.strip() for c in first] != header:
@@ -309,7 +320,7 @@ def load_labels_csv(path: str) -> list[SleepStage]:
     Indices must be contiguous from 0. The single-scorer header is
     ``epoch_index,stage``; multi-scorer files carry one column per scorer.
     """
-    with open(path, newline="") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[0].strip() != "epoch_index":

@@ -19,6 +19,7 @@ Writing is deterministic: identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -31,6 +32,7 @@ from .pipeline import FittedModel, FittedPipeline
 
 MODEL_MAGIC = b"SLPNET01"
 DICT_MAGIC = b"SLPDICT1"
+FORMAT_VERSION = 1
 
 
 def _pack(header: dict, arrays: list[np.ndarray], magic: bytes) -> bytes:
@@ -50,17 +52,37 @@ def _unpack(data: bytes, magic: bytes, path: str) -> tuple[dict, np.ndarray]:
         raise DataValidationError(f"{path}: truncated header")
     try:
         header = json.loads(data[16 : 16 + hlen])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataValidationError(f"{path}: corrupt header") from exc
+    if not isinstance(header, dict):
+        raise DataValidationError(f"{path}: corrupt header")
+    if (len(data) - 16 - hlen) % 8:
+        raise DataValidationError(f"{path}: body is not a whole number of float64 values")
     body = np.frombuffer(data[16 + hlen :], dtype="<f8")
     return header, body
 
 
-def _take(body: np.ndarray, offset: int, shape) -> tuple[np.ndarray, int]:
-    n = int(np.prod(shape))
-    if offset + n > body.size:
-        raise DataValidationError("model file body shorter than header promises")
-    return body[offset : offset + n].reshape(shape).astype(np.float64), offset + n
+def _arrays(body: np.ndarray, meta, path: str) -> dict[str, np.ndarray]:
+    """The (name, shape) arrays a header lists; the body must hold exactly
+    them, all finite."""
+    loaded: dict[str, np.ndarray] = {}
+    offset = 0
+    try:
+        for name, shape in meta:
+            n = math.prod(shape)
+            if offset + n > body.size:
+                raise DataValidationError(f"{path}: body shorter than header promises")
+            loaded[name] = body[offset : offset + n].reshape(shape).astype(np.float64)
+            offset += n
+    except DataValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DataValidationError(f"{path}: invalid array list: {exc}") from exc
+    if offset != body.size:
+        raise DataValidationError(f"{path}: trailing bytes after promised arrays")
+    if not all(np.all(np.isfinite(a)) for a in loaded.values()):
+        raise DataValidationError(f"{path}: non-finite values in arrays")
+    return loaded
 
 
 def save_model(model: FittedModel, path: str) -> None:
@@ -72,11 +94,10 @@ def save_model(model: FittedModel, path: str) -> None:
         ["norm.mean", list(stats.mean.shape)],
         ["norm.std", list(stats.std.shape)],
     ]
-    for name, arr in model.net.named_params():
-        arrays.append(arr)
-        array_meta.append([f"net.{name}", list(arr.shape)])
+    arrays.append(model.net.flat)
+    array_meta += [[f"net.{name}", list(arr.shape)] for name, arr in model.net.named_params()]
     header = {
-        "version": 1,
+        "version": FORMAT_VERSION,
         "num_classes": model.num_classes,
         "frame": {
             "frame_epochs": model.frame.frame_epochs,
@@ -96,10 +117,16 @@ def save_model(model: FittedModel, path: str) -> None:
         fh.write(_pack(header, arrays, MODEL_MAGIC))
 
 
+def _check_version(header: dict, path: str) -> None:
+    if header.get("version") != FORMAT_VERSION:
+        raise DataValidationError(f"{path}: unsupported version {header.get('version')!r}")
+
+
 def load_model(path: str) -> FittedModel:
     with open(path, "rb") as fh:
         data = fh.read()
     header, body = _unpack(data, MODEL_MAGIC, path)
+    _check_version(header, path)
     try:
         frame = FrameConfig(**header["frame"])
         spec = NetSpec(
@@ -108,44 +135,45 @@ def load_model(path: str) -> FittedModel:
             layers=tuple((k, h) for k, h in header["layers"]),
         )
         array_meta = header["arrays"]
+        dict_meta = (
+            header["dict_iterations"],
+            header["dict_objective"],
+            tuple(header["dict_objective_history"]),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: invalid header: {exc}") from exc
 
-    offset = 0
-    loaded: dict[str, np.ndarray] = {}
-    for name, shape in array_meta:
-        loaded[name], offset = _take(body, offset, shape)
-    if offset != body.size:
-        raise DataValidationError(f"{path}: trailing bytes after promised arrays")
-    if not all(np.all(np.isfinite(a)) for a in loaded.values()):
-        raise DataValidationError(f"{path}: non-finite values in model arrays")
-
-    dictionary = Dictionary(
-        centers=loaded["dictionary.centers"],
-        iterations=header["dict_iterations"],
-        objective=header["dict_objective"],
-        objective_history=tuple(header["dict_objective_history"]),
-    )
-    stats = NormStats(mean=loaded["norm.mean"], std=loaded["norm.std"])
+    loaded = _arrays(body, array_meta, path)
     net = Network.zeros(spec)
-    for name, arr in net.named_params():
-        key = f"net.{name}"
+    required = ["dictionary.centers", "norm.mean", "norm.std"]
+    for key in required + [f"net.{name}" for name, _ in net.named_params()]:
         if key not in loaded:
             raise DataValidationError(f"{path}: missing array {key}")
-        if loaded[key].shape != arr.shape:
-            raise DataValidationError(f"{path}: shape mismatch for {key}")
-        arr[:] = loaded[key]
+    for name, arr in net.named_params():
+        if loaded[f"net.{name}"].shape != arr.shape:
+            raise DataValidationError(f"{path}: shape mismatch for net.{name}")
+        arr[:] = loaded[f"net.{name}"]
+    iterations, objective, history = dict_meta
+    dictionary = Dictionary(
+        centers=loaded["dictionary.centers"],
+        iterations=iterations,
+        objective=objective,
+        objective_history=history,
+    )
     return FittedModel(
         frame=frame,
         num_classes=header["num_classes"],
-        pipeline=FittedPipeline(dictionary=dictionary, stats=stats),
+        pipeline=FittedPipeline(
+            dictionary=dictionary,
+            stats=NormStats(mean=loaded["norm.mean"], std=loaded["norm.std"]),
+        ),
         net=net,
     )
 
 
 def save_dictionary(d: Dictionary, path: str) -> None:
     header = {
-        "version": 1,
+        "version": FORMAT_VERSION,
         "num_words": d.num_words,
         "low_dim": d.centers.shape[1],
         "iterations": d.iterations,
@@ -161,12 +189,14 @@ def load_dictionary(path: str) -> Dictionary:
     with open(path, "rb") as fh:
         data = fh.read()
     header, body = _unpack(data, DICT_MAGIC, path)
-    centers, offset = _take(body, 0, header["arrays"][0][1])
-    if offset != body.size:
-        raise DataValidationError(f"{path}: trailing bytes after promised arrays")
+    _check_version(header, path)
+    try:
+        (array,) = header["arrays"]
+        meta = (header["iterations"], header["objective"], tuple(header["objective_history"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataValidationError(f"{path}: invalid header: {exc}") from exc
+    (centers,) = _arrays(body, [array], path).values()
+    iterations, objective, history = meta
     return Dictionary(
-        centers=centers,
-        iterations=header["iterations"],
-        objective=header["objective"],
-        objective_history=tuple(header["objective_history"]),
+        centers=centers, iterations=iterations, objective=objective, objective_history=history
     )

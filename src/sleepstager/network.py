@@ -9,80 +9,47 @@ Bidirectional layers run an independent cell over the reversed sequence and
 concatenate per-timestep outputs, so every prediction conditions on the
 entire night in both directions. All arithmetic is float64 and
 deterministic; gradients are analytic, not approximated.
+
+Every parameter of a network lives in one flat float64 vector in canonical
+order (the model file order). Within one direction the gate maps are
+adjacent, so a layer's fused gate-major operands are reshapes of that
+vector, and one scan runs every direction of a layer over a batch of
+sequences with one (B, H) x (H, 4H) product per direction and step.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+import math
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 LAYER_KINDS = ("mlp", "lstm", "blstm")
 
-# canonical field order; initialization, serialization, and gradient
-# dictionaries all follow it
+# canonical field order of one direction; the layout table, the flat
+# parameter vector, gradients and model files all follow it. Gate order
+# (i, f, c, o) is also the row order of the fused operands.
 LSTM_FIELDS = (
     "W_xi", "W_xf", "W_xc", "W_xo",
     "W_hi", "W_hf", "W_hc", "W_ho",
     "w_ci", "w_cf", "w_co",
     "b_i", "b_f", "b_c", "b_o",
 )
-MLP_FIELDS = ("W", "b")
 
 
-@dataclass
-class LstmParams:
-    """One direction's cell parameters.
-
-    Input maps are (hidden, input), recurrent maps are (hidden, hidden),
-    peepholes are elementwise hidden-dim vectors, as are the biases.
-    """
-
-    W_xi: np.ndarray
-    W_xf: np.ndarray
-    W_xc: np.ndarray
-    W_xo: np.ndarray
-    W_hi: np.ndarray
-    W_hf: np.ndarray
-    W_hc: np.ndarray
-    W_ho: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W_xi.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.W_xi.shape[1]
-
-
-@dataclass
-class MlpParams:
-    """Per-timestep affine map plus tanh; no recurrence."""
-
-    W: np.ndarray
-    b: np.ndarray
+# One direction's cell parameters, views into the network's flat vector:
+# input maps (hidden, input), recurrent maps (hidden, hidden), elementwise
+# peepholes and biases (hidden,).
+LstmParams = namedtuple("LstmParams", LSTM_FIELDS)
+# Per-timestep affine map plus tanh; no recurrence.
+MlpParams = namedtuple("MlpParams", ("W", "b"))
 
 
 def _lstm_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    for name in LSTM_FIELDS:
-        if name.startswith("W_x"):
-            shapes[name] = (hidden, input_dim)
-        elif name.startswith("W_h"):
-            shapes[name] = (hidden, hidden)
-        else:
-            shapes[name] = (hidden,)
-    return shapes
+    maps = {"W_x": (hidden, input_dim), "W_h": (hidden, hidden)}
+    return {name: maps.get(name[:3], (hidden,)) for name in LSTM_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -125,7 +92,7 @@ class NetSpec:
         return self.layer_io_dims()[-1][1]
 
     def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
-        """Every parameter's name and shape in canonical order."""
+        """The layout table: every parameter's name and shape in canonical order."""
         out: list[tuple[str, tuple[int, ...]]] = []
         for k, ((kind, hidden), (d_in, _)) in enumerate(zip(self.layers, self.layer_io_dims())):
             if kind == "mlp":
@@ -141,64 +108,90 @@ class NetSpec:
         return out
 
 
+class ParamViews(dict):
+    """Name -> view into ``flat`` for every parameter of a spec, canonical order.
+
+    Used both for a network's parameters and for its gradients, so a whole
+    update is one vector operation on ``flat``.
+    """
+
+    def __init__(self, spec: NetSpec, flat: np.ndarray):
+        super().__init__()
+        self.flat = flat
+        offset = 0
+        for name, shape in spec.param_shapes():
+            size = math.prod(shape)
+            self[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        if offset != flat.size:
+            raise ValueError(f"flat vector has {flat.size} values, the layout {offset}")
+
+
 @dataclass
 class Layer:
-    """One stack level; which param fields are set depends on ``kind``."""
+    """One stack level of a network; which param fields are set depends on
+    ``kind``. ``block`` is the layer's contiguous slice of the network's flat
+    vector, and every param field is a view into it."""
 
     kind: str
+    block: np.ndarray
     fwd: LstmParams | None = None
     bwd: LstmParams | None = None
     mlp: MlpParams | None = None
 
+    def operands(self):
+        """Fused gate-major operands of the K directions, views of ``block``:
+        (K, 4H, D), (K, 4H, H), (K, 3, H) peepholes and (K, 4H) biases."""
+        H, D = self.fwd.W_xi.shape
+        L = self.block.reshape(1 if self.bwd is None else 2, -1)
+        Wx, Wh, wc, b = np.split(L, np.cumsum([4 * H * D, 4 * H * H, 3 * H]), axis=1)
+        return Wx.reshape(-1, 4 * H, D), Wh.reshape(-1, 4 * H, H), wc.reshape(-1, 3, H), b
 
-@dataclass
+
 class Network:
-    """Layer stack plus softmax head. Mutated only by the training loop."""
+    """Layer stack plus softmax head. Mutated only by the training loop.
 
-    spec: NetSpec
-    layers: list[Layer]
-    out_W: np.ndarray
-    out_b: np.ndarray
+    ``flat`` holds every parameter; the layer fields, ``out_W`` and
+    ``out_b`` are views into it.
+    """
+
+    def __init__(self, spec: NetSpec, flat: np.ndarray):
+        self.spec = spec
+        self.flat = flat
+        self.params = ParamViews(spec, flat)
+        self.layers: list[Layer] = []
+        start = 0
+        for k, (kind, _) in enumerate(spec.layers):
+            prefix = f"layer{k}."
+            views = {n[len(prefix) :]: a for n, a in self.params.items() if n.startswith(prefix)}
+            size = sum(a.size for a in views.values())
+            layer = Layer(kind, flat[start : start + size])
+            start += size
+            if kind == "mlp":
+                layer.mlp = MlpParams(views["mlp.W"], views["mlp.b"])
+            else:
+                layer.fwd = LstmParams(*(views[f"fwd.{f}"] for f in LSTM_FIELDS))
+                if kind == "blstm":
+                    layer.bwd = LstmParams(*(views[f"bwd.{f}"] for f in LSTM_FIELDS))
+            self.layers.append(layer)
+        self.out_W = self.params["out.W"]
+        self.out_b = self.params["out.b"]
 
     @classmethod
     def zeros(cls, spec: NetSpec) -> "Network":
         """All-zero parameters with the spec's shapes."""
-        arrays = {name: np.zeros(shape) for name, shape in spec.param_shapes()}
-        layers = []
-        for k, (kind, _) in enumerate(spec.layers):
-            if kind == "mlp":
-                layers.append(Layer(kind, mlp=MlpParams(
-                    W=arrays[f"layer{k}.mlp.W"], b=arrays[f"layer{k}.mlp.b"])))
-            else:
-                fwd = LstmParams(**{f: arrays[f"layer{k}.fwd.{f}"] for f in LSTM_FIELDS})
-                bwd = None
-                if kind == "blstm":
-                    bwd = LstmParams(**{f: arrays[f"layer{k}.bwd.{f}"] for f in LSTM_FIELDS})
-                layers.append(Layer(kind, fwd=fwd, bwd=bwd))
-        return cls(spec=spec, layers=layers, out_W=arrays["out.W"], out_b=arrays["out.b"])
+        return cls(spec, np.zeros(sum(math.prod(s) for _, s in spec.param_shapes())))
 
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         """Live views of every parameter array, canonical order."""
-        out: list[tuple[str, np.ndarray]] = []
-        for k, layer in enumerate(self.layers):
-            if layer.kind == "mlp":
-                out.append((f"layer{k}.mlp.W", layer.mlp.W))
-                out.append((f"layer{k}.mlp.b", layer.mlp.b))
-            else:
-                for direction, p in (("fwd", layer.fwd), ("bwd", layer.bwd)):
-                    if p is None:
-                        continue
-                    for f in LSTM_FIELDS:
-                        out.append((f"layer{k}.{direction}.{f}", getattr(p, f)))
-        out.append(("out.W", self.out_W))
-        out.append(("out.b", self.out_b))
-        return out
+        return list(self.params.items())
+
+    def weight_mask(self) -> np.ndarray:
+        """True at every coordinate of ``flat`` that is not a bias."""
+        return np.concatenate([np.full(a.size, not is_bias(n)) for n, a in self.params.items()])
 
     def clone(self) -> "Network":
-        return copy.deepcopy(self)
-
-    def checksum(self) -> float:
-        return float(sum(np.abs(a).sum() for _, a in self.named_params()))
+        return Network(self.spec, self.flat.copy())
 
 
 def is_bias(name: str) -> bool:
@@ -206,178 +199,183 @@ def is_bias(name: str) -> bool:
     return name.rsplit(".", 1)[-1] in ("b", "b_i", "b_f", "b_c", "b_o")
 
 
-def lstm_step(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: LstmParams):
-    """One cell update; returns (h, c, gate cache).
+def _scan(A: np.ndarray, Wh, wc) -> dict[str, np.ndarray]:
+    """Run K cells, one per direction, over B sequences each, from zero states.
 
-    Input and forget gates peek at the previous cell state, the output gate
-    at the just-computed one; the candidate has no peephole.
+    A is (T, K, B, 4H): each direction's input projections plus biases, in
+    that direction's time order, computed before the time loop. Each step
+    is one batched (B, H) x (H, 4H) product per direction. Returns
+    (T, K, B, H) arrays of the gates, cells and outputs.
     """
-    if x.shape != (p.input_size,) or h_prev.shape != (p.hidden_size,):
-        raise ValueError("lstm_step shape mismatch")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h_prev)) and np.all(np.isfinite(c_prev))):
-        raise ValueError("non-finite lstm_step input")
-    i = expit(p.W_xi @ x + p.W_hi @ h_prev + p.w_ci * c_prev + p.b_i)
-    f = expit(p.W_xf @ x + p.W_hf @ h_prev + p.w_cf * c_prev + p.b_f)
-    g = np.tanh(p.W_xc @ x + p.W_hc @ h_prev + p.b_c)
-    c = f * c_prev + i * g
-    o = expit(p.W_xo @ x + p.W_ho @ h_prev + p.w_co * c + p.b_o)
-    h = o * np.tanh(c)
-    return h, c, {"i": i, "f": f, "g": g, "c": c, "o": o, "h": h}
-
-
-def _lstm_scan(X: np.ndarray, p: LstmParams) -> dict[str, np.ndarray]:
-    """Run the cell over a whole sequence from zero states.
-
-    Input projections are hoisted out of the time loop; the recurrence
-    itself is inherently sequential. Returns (T, hidden) gate arrays.
-    """
-    T = X.shape[0]
-    H = p.hidden_size
-    ax_i = X @ p.W_xi.T + p.b_i
-    ax_f = X @ p.W_xf.T + p.b_f
-    ax_g = X @ p.W_xc.T + p.b_c
-    ax_o = X @ p.W_xo.T + p.b_o
-    I = np.empty((T, H))
-    F = np.empty((T, H))
-    G = np.empty((T, H))
-    C = np.empty((T, H))
-    O = np.empty((T, H))
-    Hs = np.empty((T, H))
-    h = np.zeros(H)
-    c = np.zeros(H)
+    T, K, B, _ = A.shape
+    H = Wh.shape[2]
+    WhT = Wh.transpose(0, 2, 1)
+    w_if = wc[:, None, :2]
+    w_o = wc[:, None, 2]
+    IF = np.empty((T, K, B, 2, H))
+    G, C, O, Hs = (np.empty((T, K, B, H)) for _ in range(4))
+    h = np.zeros((K, B, H))
+    c = np.zeros((K, B, H))
     for t in range(T):
-        i = expit(ax_i[t] + p.W_hi @ h + p.w_ci * c)
-        f = expit(ax_f[t] + p.W_hf @ h + p.w_cf * c)
-        g = np.tanh(ax_g[t] + p.W_hc @ h)
-        c = f * c + i * g
-        o = expit(ax_o[t] + p.W_ho @ h + p.w_co * c)
+        a = A[t] + np.matmul(h, WhT)
+        i_f = expit(a[..., : 2 * H].reshape(K, B, 2, H) + w_if * c[:, :, None])
+        g = np.tanh(a[..., 2 * H : 3 * H])
+        c = i_f[:, :, 1] * c + i_f[:, :, 0] * g
+        o = expit(a[..., 3 * H :] + w_o * c)
         h = o * np.tanh(c)
-        I[t], F[t], G[t], C[t], O[t], Hs[t] = i, f, g, c, o, h
-    return {"i": I, "f": F, "g": G, "c": C, "o": O, "h": Hs}
+        IF[t], G[t], C[t], O[t], Hs[t] = i_f, g, c, o, h
+    return {"i": IF[:, :, :, 0], "f": IF[:, :, :, 1], "g": G, "c": C, "o": O, "h": Hs}
 
 
-def _lstm_scan_backward(X: np.ndarray, cache: dict, p: LstmParams, dH: np.ndarray):
-    """Exact reverse-time gradients for one scan.
+def _scan_backward(cache: dict, Wh, wc, dHs: np.ndarray):
+    """Exact reverse-time gradients of one scan.
 
-    Returns (dX, grads dict keyed by LSTM_FIELDS). The recurrence carries
-    both a hidden gradient and a cell gradient; the cell gradient picks up
-    contributions from the output-gate peephole at the current step and the
-    input/forget peepholes one step later.
+    Every derivative factor that does not involve the carries is computed
+    for all T up front; each step then costs one (B, 4H) x (4H, H) product
+    per direction. The cell gradient picks up the output-gate peephole at
+    the current step and the input/forget peepholes one step later.
+    Returns the gate pre-activation gradients dA (T, K, B, 4H) and the
+    gradients of W_h, w_c and b as one (K, 4H*H + 3H + 4H) array.
     """
-    T, H = dH.shape
     I, F, G, C, O = cache["i"], cache["f"], cache["g"], cache["c"], cache["o"]
-    C_prev = np.vstack([np.zeros((1, H)), C[:-1]])
-    H_prev = np.vstack([np.zeros((1, H)), cache["h"][:-1]])
-    dA_i = np.empty((T, H))
-    dA_f = np.empty((T, H))
-    dA_g = np.empty((T, H))
-    dA_o = np.empty((T, H))
-    dh_carry = np.zeros(H)
-    dc_carry = np.zeros(H)
+    T, K, B, H = C.shape
+    C_prev = np.concatenate([np.zeros((1, K, B, H)), C[:-1]])
+    H_prev = np.concatenate([np.zeros((1, K, B, H)), cache["h"][:-1]])
+    w_ci, w_cf, w_co = wc[:, None, 0], wc[:, None, 1], wc[:, None, 2]
+    tc = np.tanh(C)
+    P_o = tc * O * (1.0 - O)
+    P_c = O * (1.0 - tc * tc) + P_o * w_co
+    P_ifg = np.stack([G * I * (1.0 - I), C_prev * F * (1.0 - F), I * (1.0 - G * G)], axis=3)
+    P_cc = F + P_ifg[:, :, :, 0] * w_ci + P_ifg[:, :, :, 1] * w_cf
+    dA = np.empty((T, K, B, 4 * H))
+    dh_carry = np.zeros((K, B, H))
+    dc_carry = np.zeros((K, B, H))
     for t in range(T - 1, -1, -1):
-        dh = dH[t] + dh_carry
-        tc = np.tanh(C[t])
-        da_o = dh * tc * O[t] * (1.0 - O[t])
-        dc = dc_carry + dh * O[t] * (1.0 - tc * tc) + da_o * p.w_co
-        da_g = dc * I[t] * (1.0 - G[t] * G[t])
-        da_i = dc * G[t] * I[t] * (1.0 - I[t])
-        da_f = dc * C_prev[t] * F[t] * (1.0 - F[t])
-        dh_carry = p.W_hi.T @ da_i + p.W_hf.T @ da_f + p.W_hc.T @ da_g + p.W_ho.T @ da_o
-        dc_carry = dc * F[t] + da_i * p.w_ci + da_f * p.w_cf
-        dA_i[t], dA_f[t], dA_g[t], dA_o[t] = da_i, da_f, da_g, da_o
-    dX = dA_i @ p.W_xi + dA_f @ p.W_xf + dA_g @ p.W_xc + dA_o @ p.W_xo
-    grads = {
-        "W_xi": dA_i.T @ X, "W_xf": dA_f.T @ X, "W_xc": dA_g.T @ X, "W_xo": dA_o.T @ X,
-        "W_hi": dA_i.T @ H_prev, "W_hf": dA_f.T @ H_prev,
-        "W_hc": dA_g.T @ H_prev, "W_ho": dA_o.T @ H_prev,
-        "w_ci": (dA_i * C_prev).sum(axis=0),
-        "w_cf": (dA_f * C_prev).sum(axis=0),
-        "w_co": (dA_o * C).sum(axis=0),
-        "b_i": dA_i.sum(axis=0), "b_f": dA_f.sum(axis=0),
-        "b_c": dA_g.sum(axis=0), "b_o": dA_o.sum(axis=0),
-    }
-    return dX, grads
+        dh = dHs[t] + dh_carry
+        dc = dc_carry + dh * P_c[t]
+        dA[t, ..., : 3 * H] = (dc[:, :, None] * P_ifg[t]).reshape(K, B, 3 * H)
+        dA[t, ..., 3 * H :] = dh * P_o[t]
+        dh_carry = np.matmul(dA[t], Wh)
+        dc_carry = dc * P_cc[t]
+    dA_k = dA.transpose(1, 0, 2, 3).reshape(K, T * B, 4 * H)
+    H_k = H_prev.transpose(1, 0, 2, 3).reshape(K, T * B, H)
+    d_wif = (dA[..., : 2 * H].reshape(T, K, B, 2, H) * C_prev[:, :, :, None]).sum(axis=(0, 2))
+    grad = np.concatenate([
+        np.matmul(dA_k.transpose(0, 2, 1), H_k).reshape(K, -1),
+        d_wif.reshape(K, -1),
+        (dA[..., 3 * H :] * C).sum(axis=(0, 2)),
+        dA_k.sum(axis=1),
+    ], axis=1)
+    return dA, grad
 
 
-@dataclass
-class LayerTrace:
-    """Cached activations of one layer for exact backpropagation."""
-
-    inputs: np.ndarray
-    fwd: dict | None = None
-    bwd: dict | None = None
-    hidden: np.ndarray | None = None
-    outputs: np.ndarray = field(default=None)  # type: ignore[assignment]
+def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X @ W.T + b over the last axis of a (T, B, D) array."""
+    T, B, D = X.shape
+    return (X.reshape(T * B, D) @ W.T + b).reshape(T, B, -1)
 
 
-@dataclass
-class ForwardTrace:
-    """Everything the backward pass needs, plus a parameter checksum so a
-    trace can detect that the network changed underneath it."""
-
-    layers: list[LayerTrace]
-    logits: np.ndarray
-    probs: np.ndarray
-    checksum: float
+def _oriented(A: np.ndarray, rev: np.ndarray, k: int) -> np.ndarray:
+    """A (T, B, ...) batch in direction k's time order: as is for k = 0,
+    each column reversed within its own length for k = 1 (its own inverse)."""
+    return A[rev, np.arange(A.shape[1])] if k else A
 
 
-def _layer_forward_trace(layer: Layer, X: np.ndarray) -> LayerTrace:
+def _reversal(lengths: list[int]) -> np.ndarray:
+    """(T, B) time index reversing each sequence in place; padding stays put."""
+    t = np.arange(max(lengths))[:, None]
+    n = np.asarray(lengths)[None, :]
+    return np.where(t < n, n - 1 - t, t)
+
+
+# Cached activations of one layer for exact backpropagation: its (T, B, D)
+# input batch, its outputs, and a recurrent layer's scan arrays.
+LayerTrace = namedtuple("LayerTrace", ("inputs", "outputs", "cache"), defaults=(None,))
+# Everything the backward pass needs, plus a copy of the parameters so a
+# trace can detect that the network changed underneath it.
+ForwardTrace = namedtuple("ForwardTrace", ("layers", "probs", "rev", "params"))
+
+
+def _layer_forward_trace(layer: Layer, P: np.ndarray, rev: np.ndarray) -> LayerTrace:
     if layer.kind == "mlp":
-        hidden = np.tanh(X @ layer.mlp.W.T + layer.mlp.b)
-        return LayerTrace(inputs=X, hidden=hidden, outputs=hidden)
-    if layer.kind == "lstm":
-        cache = _lstm_scan(X, layer.fwd)
-        return LayerTrace(inputs=X, fwd=cache, outputs=cache["h"])
-    fwd = _lstm_scan(X, layer.fwd)
-    bwd = _lstm_scan(X[::-1], layer.bwd)
-    outputs = np.concatenate([fwd["h"], bwd["h"][::-1]], axis=1)
-    return LayerTrace(inputs=X, fwd=fwd, bwd=bwd, outputs=outputs)
+        return LayerTrace(inputs=P, outputs=np.tanh(_affine(P, layer.mlp.W, layer.mlp.b)))
+    Wx, Wh, wc, b = layer.operands()
+    K = Wx.shape[0]
+    # input projections are per step, so each direction's can be taken in
+    # input order and reordered after: 4H values per step instead of D
+    A = np.stack([_oriented(_affine(P, Wx[k], b[k]), rev, k) for k in range(K)], axis=1)
+    cache = _scan(A, Wh, wc)
+    outputs = np.concatenate([_oriented(cache["h"][:, k], rev, k) for k in range(K)], axis=2)
+    return LayerTrace(inputs=P, outputs=outputs, cache=cache)
+
+
+def _checked(X, dim: int) -> np.ndarray:
+    """X as a finite float64 (T, dim) array with T >= 1, else ValueError."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ValueError("features must be a non-empty (T, dim) array")
+    if X.shape[1] != dim:
+        raise ValueError(f"feature dim {X.shape[1]} != network input dim {dim}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite features")
+    return X
+
+
+def _forward(net: Network, Xs: list[np.ndarray], traces: list | None = None):
+    """Class probabilities (T, B, M) of checked sequences zero-padded at their
+    ends to the longest, and the (T, B) reversal index. Every scan is causal
+    in its own direction, so padding never reaches a real step. Each layer's
+    trace is appended to ``traces`` when given, else dropped once its outputs
+    are handed to the next layer."""
+    rev = _reversal([len(X) for X in Xs])
+    P = np.zeros((rev.shape[0], len(Xs), net.spec.input_dim))
+    for b, X in enumerate(Xs):
+        P[: len(X), b] = X
+    for layer in net.layers:
+        trace = _layer_forward_trace(layer, P, rev)
+        if traces is not None:
+            traces.append(trace)
+        P, trace = trace.outputs, None
+    logits = _affine(P, net.out_W, net.out_b)
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    return e / e.sum(axis=2, keepdims=True), rev
 
 
 def layer_forward(layer: Layer, inputs: np.ndarray) -> np.ndarray:
     """Outputs of one layer over a sequence, shape (T, layer output dim)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] < 1:
-        raise ValueError("inputs must be a non-empty (T, dim) array")
-    return _layer_forward_trace(layer, inputs).outputs
-
-
-def _layer_backward(layer: Layer, trace: LayerTrace, dOut: np.ndarray):
-    """Gradient of one layer: returns (dInputs, {field name: grad})."""
-    if layer.kind == "mlp":
-        dA = dOut * (1.0 - trace.hidden**2)
-        grads = {"mlp.W": dA.T @ trace.inputs, "mlp.b": dA.sum(axis=0)}
-        return dA @ layer.mlp.W, grads
-    if layer.kind == "lstm":
-        dX, g = _lstm_scan_backward(trace.inputs, trace.fwd, layer.fwd, dOut)
-        return dX, {f"fwd.{k}": v for k, v in g.items()}
-    H = layer.fwd.hidden_size
-    dX_f, g_f = _lstm_scan_backward(trace.inputs, trace.fwd, layer.fwd, dOut[:, :H])
-    dX_b, g_b = _lstm_scan_backward(trace.inputs[::-1], trace.bwd, layer.bwd, dOut[:, H:][::-1])
-    grads = {f"fwd.{k}": v for k, v in g_f.items()}
-    grads.update({f"bwd.{k}": v for k, v in g_b.items()})
-    return dX_f + dX_b[::-1], grads
+    X = _checked(inputs, (layer.mlp.W if layer.kind == "mlp" else layer.fwd.W_xi).shape[1])
+    return _layer_forward_trace(layer, X[:, None], _reversal([len(X)])).outputs[:, 0]
 
 
 def network_forward(net: Network, features: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """Class probabilities for a whole sequence plus the backward-pass trace."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("features must be a non-empty (T, dim) array")
-    if X.shape[1] != net.spec.input_dim:
-        raise ValueError(f"feature dim {X.shape[1]} != network input dim {net.spec.input_dim}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite features")
-    traces = []
-    for layer in net.layers:
-        tr = _layer_forward_trace(layer, X)
-        traces.append(tr)
-        X = tr.outputs
-    logits = X @ net.out_W.T + net.out_b
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    return probs, ForwardTrace(layers=traces, logits=logits, probs=probs, checksum=net.checksum())
+    traces: list[LayerTrace] = []
+    probs, rev = _forward(net, [_checked(features, net.spec.input_dim)], traces)
+    trace = ForwardTrace(layers=traces, probs=probs[:, 0], rev=rev, params=net.flat.copy())
+    return probs[:, 0], trace
+
+
+# Most padded steps (longest x count) in one lockstep batch: scoring holds
+# ~9 KB per padded step for blstm@32 on 520 features, so ~18 MB at most.
+SCORE_CHUNK = 2048
+
+
+def network_probs(net: Network, sequences: list[np.ndarray]) -> list[np.ndarray]:
+    """Class probabilities of several sequences, scored in lockstep in groups
+    of similar length: sorted by length, each group at most ``SCORE_CHUNK``
+    padded steps or one sequence, so memory stays bounded and padding small."""
+    Xs = [_checked(X, net.spec.input_dim) for X in sequences]
+    order = sorted(range(len(Xs)), key=lambda s: len(Xs[s]))
+    out = [None] * len(Xs)
+    while order:
+        n = 1
+        while n < len(order) and len(Xs[order[n]]) * (n + 1) <= SCORE_CHUNK:
+            n += 1
+        group, order = order[:n], order[n:]
+        probs, _ = _forward(net, [Xs[s] for s in group])
+        for b, s in enumerate(group):
+            out[s] = probs[: len(Xs[s]), b]
+    return out
 
 
 LOSS_EPS = 1e-12
@@ -415,30 +413,45 @@ def _loss_backward(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.where((P > LOSS_EPS) & (P < 1.0 - LOSS_EPS), dP, 0.0)
 
 
-def network_backward(net: Network, trace: ForwardTrace, labels: np.ndarray) -> dict[str, np.ndarray]:
+def _layer_backward(layer: Layer, trace: LayerTrace, dOut: np.ndarray, rev: np.ndarray):
+    """Gradient of one layer: returns (dInputs, the layer's flat gradient block)."""
+    if layer.kind == "mlp":
+        dA = dOut * (1.0 - trace.outputs**2)
+        T, B, H = dA.shape
+        dA2 = dA.reshape(T * B, H)
+        grad = np.concatenate([(dA2.T @ trace.inputs.reshape(T * B, -1)).ravel(), dA2.sum(axis=0)])
+        return (dA2 @ layer.mlp.W).reshape(T, B, -1), grad
+    Wx, Wh, wc, _ = layer.operands()
+    K, H = Wh.shape[0], Wh.shape[2]
+    T, B, D = trace.inputs.shape
+    dHs = np.stack([_oriented(dOut[..., k * H : (k + 1) * H], rev, k) for k in range(K)], axis=1)
+    dA, grad = _scan_backward(trace.cache, Wh, wc, dHs)
+    dA_in = np.stack([_oriented(dA[:, k], rev, k).reshape(T * B, 4 * H) for k in range(K)])
+    dWx = np.matmul(dA_in.transpose(0, 2, 1), trace.inputs.reshape(T * B, D))
+    dP = np.matmul(dA_in, Wx).sum(axis=0).reshape(T, B, D)
+    return dP, np.concatenate([dWx.reshape(K, -1), grad], axis=1).ravel()
+
+
+def network_backward(net: Network, trace: ForwardTrace, labels: np.ndarray) -> ParamViews:
     """Exact gradients of the loss for every parameter, keyed like named_params.
 
-    Rejects a trace whose checksum no longer matches the network: gradients
-    against mutated parameters would be silently wrong.
+    The values are views into one vector (``.flat``) laid out like the
+    network's. Rejects a trace whose parameter copy no longer equals the
+    network: gradients against mutated parameters would be silently wrong.
     """
-    if net.checksum() != trace.checksum:
+    if not np.array_equal(net.flat, trace.params):
         raise ValueError("stale trace: network parameters changed since forward pass")
     P = trace.probs
     Y = _check_one_hot(labels, P.shape)
     dP = _loss_backward(P, Y)
     # softmax jacobian: dz = p * (dp - <dp, p>)
     dZ = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-    last_out = trace.layers[-1].outputs
-    grads: dict[str, np.ndarray] = {
-        "out.W": dZ.T @ last_out,
-        "out.b": dZ.sum(axis=0),
-    }
-    dH = dZ @ net.out_W
-    for k in range(len(net.layers) - 1, -1, -1):
-        dH, layer_grads = _layer_backward(net.layers[k], trace.layers[k], dH)
-        for name, g in layer_grads.items():
-            grads[f"layer{k}.{name}"] = g
-    return grads
+    blocks = [(dZ.T @ trace.layers[-1].outputs[:, 0]).ravel(), dZ.sum(axis=0)]
+    dH = (dZ @ net.out_W)[:, None]
+    for layer, layer_trace in zip(reversed(net.layers), reversed(trace.layers)):
+        dH, grad = _layer_backward(layer, layer_trace, dH, trace.rev)
+        blocks.insert(0, grad)
+    return ParamViews(net.spec, np.concatenate(blocks))
 
 
 def predict_stages(probabilities: np.ndarray) -> np.ndarray:

@@ -22,10 +22,11 @@ import numpy as np
 from .network import (
     NetSpec,
     Network,
-    is_bias,
+    ParamViews,
     loss,
     network_backward,
     network_forward,
+    network_probs,
 )
 
 Sequence = tuple[np.ndarray, np.ndarray]  # (features (T, D), one-hot labels (T, M))
@@ -65,37 +66,30 @@ def init_params(spec: NetSpec, seed: int, init_std: float = 0.1) -> Network:
         raise ValueError("init_std must be > 0")
     rng = np.random.Generator(np.random.Philox(seed))
     net = Network.zeros(spec)
-    for _, arr in net.named_params():
-        arr[:] = rng.normal(0.0, init_std, size=arr.shape)
+    net.flat[:] = rng.normal(0.0, init_std, size=net.flat.size)
     return net
 
 
 def mean_loss(net: Network, sequences: list[Sequence]) -> float:
-    """Noise-free average loss over a split."""
-    return float(np.mean([loss(network_forward(net, X)[0], Y) for X, Y in sequences]))
+    """Noise-free average loss over a split, every sequence scored in lockstep."""
+    probs = network_probs(net, [X for X, _ in sequences])
+    return float(np.mean([loss(P, Y) for P, (_, Y) in zip(probs, sequences)]))
 
 
 def _sgd_pass(net: Network, sequences: list[Sequence], cfg: TrainConfig, rng: np.random.Generator):
     """One pass: visit sequences in a fresh shuffled order, update per sequence."""
     order = rng.permutation(len(sequences))
-    noisy = cfg.weight_noise_std > 0
+    weights = net.weight_mask() if cfg.weight_noise_std > 0 else None
     for s in order:
         X, Y = sequences[s]
-        saved = None
-        if noisy:
-            saved = []
-            for name, arr in net.named_params():
-                if is_bias(name):
-                    continue
-                saved.append((arr, arr.copy()))
-                arr += rng.normal(0.0, cfg.weight_noise_std, size=arr.shape)
+        if weights is not None:
+            clean = net.flat.copy()
+            net.flat[weights] += rng.normal(0.0, cfg.weight_noise_std, size=weights.sum())
         _, trace = network_forward(net, X)
         grads = network_backward(net, trace, Y)
-        if noisy:
-            for arr, clean in saved:
-                arr[:] = clean
-        for name, arr in net.named_params():
-            arr -= cfg.learning_rate * grads[name]
+        if weights is not None:
+            net.flat[:] = clean
+        net.flat -= cfg.learning_rate * grads.flat
 
 
 def train(
@@ -139,7 +133,7 @@ def train(
 
 def finite_difference_gradients(
     net: Network, X: np.ndarray, Y: np.ndarray, step: float = 1e-5, order: int = 2
-) -> dict[str, np.ndarray]:
+) -> ParamViews:
     """Central-difference loss gradients, one coordinate at a time.
 
     order=2 is the classic two-point stencil. order=4 is the five-point
@@ -150,28 +144,22 @@ def finite_difference_gradients(
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
 
-    def eval_at(arr, idx, value) -> float:
-        orig = arr[idx]
-        arr[idx] = value
+    def eval_at(j, value) -> float:
+        orig = net.flat[j]
+        net.flat[j] = value
         l = loss(network_forward(net, X)[0], Y)
-        arr[idx] = orig
+        net.flat[j] = orig
         return l
 
-    out: dict[str, np.ndarray] = {}
-    for name, arr in net.named_params():
-        fd = np.empty_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            w = arr[idx]
-            if order == 2:
-                fd[idx] = (eval_at(arr, idx, w + step) - eval_at(arr, idx, w - step)) / (2.0 * step)
-            else:
-                f1 = eval_at(arr, idx, w + step) - eval_at(arr, idx, w - step)
-                f2 = eval_at(arr, idx, w + 2.0 * step) - eval_at(arr, idx, w - 2.0 * step)
-                fd[idx] = (8.0 * f1 - f2) / (12.0 * step)
-        out[name] = fd
-    return out
+    fd = np.empty_like(net.flat)
+    for j, w in enumerate(net.flat.tolist()):
+        if order == 2:
+            fd[j] = (eval_at(j, w + step) - eval_at(j, w - step)) / (2.0 * step)
+        else:
+            f1 = eval_at(j, w + step) - eval_at(j, w - step)
+            f2 = eval_at(j, w + 2.0 * step) - eval_at(j, w - 2.0 * step)
+            fd[j] = (8.0 * f1 - f2) / (12.0 * step)
+    return ParamViews(net.spec, fd)
 
 
 def gradient_check(
@@ -197,12 +185,6 @@ def gradient_check(
     X = rng.standard_normal((T, spec.input_dim))
     Y = np.eye(spec.num_classes)[rng.integers(0, spec.num_classes, size=T)]
     _, trace = network_forward(net, X)
-    analytic = network_backward(net, trace, Y)
-    numeric = finite_difference_gradients(net, X, Y, step=step, order=4)
-    worst = 0.0
-    for name in analytic:
-        ga = analytic[name]
-        gn = numeric[name]
-        rel = np.abs(ga - gn) / np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)
-        worst = max(worst, float(rel.max()))
-    return worst
+    ga = network_backward(net, trace, Y).flat
+    gn = finite_difference_gradients(net, X, Y, step=step, order=4).flat
+    return float((np.abs(ga - gn) / np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)).max())

@@ -242,6 +242,32 @@ def test_corrupt_csv_exits_2(tmp_path):
     assert cli.main(["validate", d]) == 2
 
 
+@pytest.mark.parametrize("suffix", ["hr", "act", "labels"])
+def test_non_utf8_csv_exits_2_naming_the_file(tmp_path, capsys, suffix):
+    d = str(tmp_path / "data")
+    assert cli.main(["synth", d, "--recordings", "1", "--epochs", "8"]) == 0
+    path = os.path.join(d, f"s00_{suffix}.csv")
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    capsys.readouterr()
+    assert cli.main(["validate", d]) == 2
+    assert f"s00_{suffix}.csv: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_model_header_faults_exit_2(cohort_dir, tmp_path, capsys):
+    model = str(tmp_path / "model.bin")
+    assert cli.main(["train", cohort_dir, model] + FAST) == 0
+    with open(model, "rb") as fh:
+        raw = fh.read()
+    for old, new in ((b'"norm.std"', b'"norm.sdv"'), (b'"version":1', b'"version":9')):
+        assert old in raw
+        with open(model, "wb") as fh:
+            fh.write(raw.replace(old, new))
+        capsys.readouterr()
+        assert cli.main(["eval", model, cohort_dir]) == 2
+        assert "data error" in capsys.readouterr().err
+
+
 def test_config_file_and_set_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 3\n")

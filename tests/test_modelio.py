@@ -1,5 +1,8 @@
 """Round-trip and corruption tests for the binary model format."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,17 @@ def test_truncated_body_rejected(tmp_path):
         load_model(path)
 
 
+def test_body_cut_mid_value_rejected(tmp_path):
+    path = str(tmp_path / "m.slpnet")
+    save_model(tiny_model(), path)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw[:-3])
+    with pytest.raises(DataValidationError, match="whole number"):
+        load_model(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = str(tmp_path / "m.slpnet")
     save_model(tiny_model(), path)
@@ -121,6 +135,74 @@ def test_trailing_bytes_rejected(tmp_path):
         fh.write(b"\x00" * 8)
     with pytest.raises(DataValidationError):
         load_model(path)
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a saved file's JSON header, keeping the body."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+
+
+@pytest.mark.parametrize("name", ["dictionary.centers", "norm.mean", "norm.std"])
+def test_header_without_pipeline_array_rejected(tmp_path, name):
+    # the body still holds every array; the header no longer names one
+    path = str(tmp_path / "m.slpnet")
+    save_model(tiny_model(), path)
+
+    def rename(header):
+        for entry in header["arrays"]:
+            if entry[0] == name:
+                entry[0] = "unused"
+
+    rewrite_header(path, rename)
+    with pytest.raises(DataValidationError, match=f"missing array {name}"):
+        load_model(path)
+
+
+def test_net_shape_mismatch_rejected(tmp_path):
+    path = str(tmp_path / "m.slpnet")
+    save_model(tiny_model(layers=(("lstm", 6),)), path)
+
+    def transpose_out_w(header):
+        for entry in header["arrays"]:
+            if entry[0] == "net.out.W":
+                entry[1] = entry[1][::-1]
+
+    rewrite_header(path, transpose_out_w)
+    with pytest.raises(DataValidationError, match="shape mismatch"):
+        load_model(path)
+
+
+def test_unknown_model_version_rejected(tmp_path):
+    path = str(tmp_path / "m.slpnet")
+    save_model(tiny_model(), path)
+    rewrite_header(path, lambda header: header.update(version=99))
+    with pytest.raises(DataValidationError, match="version 99"):
+        load_model(path)
+
+
+def test_dictionary_without_arrays_rejected(tmp_path):
+    path = str(tmp_path / "d.slpdict")
+    rng = np.random.default_rng(np.random.Philox(12))
+    save_dictionary(kmeans_fit(rng.normal(size=(30, 4)), k=3, seed=0), path)
+    rewrite_header(path, lambda header: header.update(arrays=[]))
+    with pytest.raises(DataValidationError):
+        load_dictionary(path)
+
+
+def test_unknown_dictionary_version_rejected(tmp_path):
+    path = str(tmp_path / "d.slpdict")
+    rng = np.random.default_rng(np.random.Philox(12))
+    save_dictionary(kmeans_fit(rng.normal(size=(30, 4)), k=3, seed=0), path)
+    rewrite_header(path, lambda header: header.update(version=2))
+    with pytest.raises(DataValidationError, match="version 2"):
+        load_dictionary(path)
 
 
 def test_non_finite_refused_on_save(tmp_path):
@@ -142,6 +224,19 @@ def test_non_finite_refused_on_load(tmp_path):
         fh.write(bytes(raw))
     with pytest.raises(DataValidationError):
         load_model(path)
+
+
+def test_non_finite_dictionary_refused_on_load(tmp_path):
+    path = str(tmp_path / "d.slpdict")
+    rng = np.random.default_rng(np.random.Philox(12))
+    save_dictionary(kmeans_fit(rng.normal(size=(30, 4)), k=3, seed=0), path)
+    with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
+    raw[-8:] = np.array([np.nan]).tobytes()
+    with open(path, "wb") as fh:
+        fh.write(bytes(raw))
+    with pytest.raises(DataValidationError, match="non-finite"):
+        load_dictionary(path)
 
 
 def test_dictionary_round_trip(tmp_path):

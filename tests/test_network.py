@@ -2,21 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from per_gate_oracle import lstm_step, network_gradients
+from per_gate_oracle import network_probs as oracle_probs
 
+from sleepstager import network
 from sleepstager.network import (
-    Layer,
     LstmParams,
     MlpParams,
     NetSpec,
     Network,
+    ParamViews,
     is_bias,
     layer_forward,
     loss,
-    lstm_step,
     network_backward,
     network_forward,
+    network_probs,
     predict_stages,
 )
+
+ORACLE_STACKS = {
+    "lstm": (("lstm", 4),),
+    "blstm": (("blstm", 3),),
+    "blstm-blstm": (("blstm", 3), ("blstm", 2)),
+    "blstm-mlp": (("blstm", 3), ("mlp", 5)),
+}
 
 
 def fill_random(net, rng, scale=0.4):
@@ -27,6 +37,16 @@ def fill_random(net, rng, scale=0.4):
 
 def random_net(spec, seed, scale=0.4):
     return fill_random(Network.zeros(spec), np.random.default_rng(seed), scale)
+
+
+def make_layer(kind, fwd=None, bwd=None, mlp=None):
+    """The layer of a one-layer network whose parameters are copies of the given arrays."""
+    H, D = (mlp.W if kind == "mlp" else fwd.W_xi).shape
+    layer = Network.zeros(NetSpec(input_dim=D, num_classes=5, layers=((kind, H),))).layers[0]
+    for views, arrays in ((layer.fwd, fwd), (layer.bwd, bwd), (layer.mlp, mlp)):
+        for view, array in zip(views or (), arrays or ()):
+            view[...] = array
+    return layer
 
 
 def zero_lstm_params(d, h):
@@ -102,7 +122,7 @@ class TestLayerForward:
         rng = np.random.default_rng(1)
         p = random_lstm_params(4, 3, rng)
         X = rng.standard_normal((9, 4))
-        scanned = layer_forward(Layer("lstm", fwd=p), X)
+        scanned = layer_forward(make_layer("lstm", fwd=p), X)
         h = np.zeros(3)
         c = np.zeros(3)
         for t in range(9):
@@ -114,9 +134,9 @@ class TestLayerForward:
         pf = random_lstm_params(5, 3, rng)
         pb = random_lstm_params(5, 3, rng)
         X = rng.standard_normal((7, 5))
-        out = layer_forward(Layer("blstm", fwd=pf, bwd=pb), X)
-        fwd_only = layer_forward(Layer("lstm", fwd=pf), X)
-        bwd_only = layer_forward(Layer("lstm", fwd=pb), X[::-1])[::-1]
+        out = layer_forward(make_layer("blstm", fwd=pf, bwd=pb), X)
+        fwd_only = layer_forward(make_layer("lstm", fwd=pf), X)
+        bwd_only = layer_forward(make_layer("lstm", fwd=pb), X[::-1])[::-1]
         np.testing.assert_allclose(out[:, :3], fwd_only, atol=1e-12)
         np.testing.assert_allclose(out[:, 3:], bwd_only, atol=1e-12)
 
@@ -127,8 +147,8 @@ class TestLayerForward:
         pf = random_lstm_params(4, 2, rng)
         pb = random_lstm_params(4, 2, rng)
         X = rng.standard_normal((6, 4))
-        out = layer_forward(Layer("blstm", fwd=pf, bwd=pb), X)
-        swapped = layer_forward(Layer("blstm", fwd=pb, bwd=pf), X[::-1])
+        out = layer_forward(make_layer("blstm", fwd=pf, bwd=pb), X)
+        swapped = layer_forward(make_layer("blstm", fwd=pb, bwd=pf), X[::-1])
         recombined = np.concatenate([swapped[::-1][:, 2:], swapped[::-1][:, :2]], axis=1)
         np.testing.assert_allclose(recombined, out, atol=1e-12)
 
@@ -137,19 +157,20 @@ class TestLayerForward:
         pf = random_lstm_params(3, 4, rng)
         pz = zero_lstm_params(3, 4)
         X = rng.standard_normal((5, 3))
-        out = layer_forward(Layer("blstm", fwd=pf, bwd=pz), X)
-        np.testing.assert_array_equal(out[:, :4], layer_forward(Layer("lstm", fwd=pf), X))
+        out = layer_forward(make_layer("blstm", fwd=pf, bwd=pz), X)
+        np.testing.assert_array_equal(out[:, :4], layer_forward(make_layer("lstm", fwd=pf), X))
         np.testing.assert_array_equal(out[:, 4:], 0.0)
 
     def test_mlp_is_timestep_local(self):
         rng = np.random.default_rng(5)
-        layer = Layer("mlp", mlp=MlpParams(W=rng.standard_normal((4, 3)), b=rng.standard_normal(4)))
+        mlp = MlpParams(W=rng.standard_normal((4, 3)), b=rng.standard_normal(4))
+        layer = make_layer("mlp", mlp=mlp)
         X = rng.standard_normal((8, 3))
         perm = rng.permutation(8)
         np.testing.assert_array_equal(layer_forward(layer, X[perm]), layer_forward(layer, X)[perm])
 
     def test_empty_sequence_rejected(self):
-        layer = Layer("mlp", mlp=MlpParams(W=np.zeros((2, 2)), b=np.zeros(2)))
+        layer = make_layer("mlp", mlp=MlpParams(W=np.zeros((2, 2)), b=np.zeros(2)))
         with pytest.raises(ValueError):
             layer_forward(layer, np.zeros((0, 2)))
 
@@ -246,6 +267,23 @@ class TestBackward:
         with pytest.raises(ValueError, match="stale"):
             network_backward(net, trace, np.eye(5)[[0, 1, 2, 3, 4]])
 
+    def test_sign_flip_is_stale(self):
+        # a sum of magnitudes cannot see this change
+        rng = np.random.default_rng(11)
+        net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("lstm", 4),)), 11)
+        _, trace = network_forward(net, rng.standard_normal((5, 3)))
+        net.layers[0].fwd.W_hf[1, 2] *= -1.0
+        with pytest.raises(ValueError, match="stale"):
+            network_backward(net, trace, np.eye(5)[[0, 1, 2, 3, 4]])
+
+    def test_swapped_weights_are_stale(self):
+        rng = np.random.default_rng(11)
+        net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("blstm", 2),)), 11)
+        _, trace = network_forward(net, rng.standard_normal((5, 3)))
+        net.out_W[[0, 1]] = net.out_W[[1, 0]]
+        with pytest.raises(ValueError, match="stale"):
+            network_backward(net, trace, np.eye(5)[[0, 1, 2, 3, 4]])
+
     def test_gradient_shapes_match_params(self):
         rng = np.random.default_rng(12)
         spec = NetSpec(input_dim=4, num_classes=4, layers=(("blstm", 3), ("mlp", 5)))
@@ -298,6 +336,75 @@ class TestBackward:
                 assert rel < 1e-5, f"{name}{idx}: analytic {ga} vs fd {fd}"
 
 
+class TestPerGateOracle:
+    """The fused scans against the per-gate reference in per_gate_oracle.py."""
+
+    @pytest.mark.parametrize("stack", sorted(ORACLE_STACKS))
+    def test_forward_matches_oracle(self, stack):
+        rng = np.random.default_rng(20)
+        net = random_net(NetSpec(input_dim=4, num_classes=5, layers=ORACLE_STACKS[stack]), 20)
+        for T in (1, 2, 9):
+            X = rng.standard_normal((T, 4))
+            probs, _ = network_forward(net, X)
+            np.testing.assert_allclose(probs, oracle_probs(net, X)[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stack", sorted(ORACLE_STACKS))
+    def test_backward_matches_oracle(self, stack):
+        rng = np.random.default_rng(21)
+        net = random_net(NetSpec(input_dim=4, num_classes=5, layers=ORACLE_STACKS[stack]), 21)
+        for T in (1, 2, 9):
+            X = rng.standard_normal((T, 4))
+            Y = np.eye(5)[rng.integers(0, 5, size=T)]
+            _, trace = network_forward(net, X)
+            grads = network_backward(net, trace, Y)
+            expect = network_gradients(net, X, Y)
+            assert list(grads) == [name for name, _ in net.named_params()]
+            assert set(expect) == set(grads)
+            for name, g in grads.items():
+                scale = max(np.abs(expect[name]).max(), 1e-300)
+                assert np.abs(g - expect[name]).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("stack", sorted(ORACLE_STACKS))
+    def test_lockstep_matches_one_at_a_time(self, stack):
+        # unequal lengths, including a one-step night, padded to the longest
+        rng = np.random.default_rng(22)
+        net = random_net(NetSpec(input_dim=4, num_classes=5, layers=ORACLE_STACKS[stack]), 22)
+        seqs = [rng.standard_normal((T, 4)) for T in (7, 1, 12, 3)]
+        for X, probs in zip(seqs, network_probs(net, seqs)):
+            np.testing.assert_allclose(probs, network_forward(net, X)[0], rtol=0, atol=1e-12)
+
+    def test_lockstep_groups_are_bounded_and_sorted(self, monkeypatch):
+        # a small chunk forces several groups; each stays within it (or is a
+        # single sequence), groups hold sequences of neighbouring length,
+        # and results come back in input order
+        rng = np.random.default_rng(24)
+        net = random_net(NetSpec(input_dim=4, num_classes=5, layers=(("blstm", 3),)), 24)
+        seqs = [rng.standard_normal((T, 4)) for T in (9, 2, 30, 4, 1, 8, 5)]
+        expect = [network_forward(net, X)[0] for X in seqs]
+        batches = []
+        forward = network._forward
+
+        def recording_forward(n, Xs, *rest):
+            batches.append([len(X) for X in Xs])
+            return forward(n, Xs, *rest)
+
+        monkeypatch.setattr(network, "SCORE_CHUNK", 16)
+        monkeypatch.setattr(network, "_forward", recording_forward)
+        probs = network_probs(net, seqs)
+        assert batches == [[1, 2, 4], [5, 8], [9], [30]]
+        for P, E in zip(probs, expect):
+            np.testing.assert_allclose(P, E, rtol=0, atol=1e-12)
+
+    def test_gradients_are_views_of_one_vector(self):
+        rng = np.random.default_rng(23)
+        net = random_net(NetSpec(input_dim=3, num_classes=4, layers=(("blstm", 2), ("mlp", 3))), 23)
+        _, trace = network_forward(net, rng.standard_normal((4, 3)))
+        grads = network_backward(net, trace, np.eye(4)[[0, 1, 2, 3]])
+        flat = np.concatenate([g.ravel() for g in grads.values()])
+        np.testing.assert_array_equal(grads.flat, flat)
+        assert all(np.shares_memory(g, grads.flat) for g in grads.values())
+
+
 class TestSpecAndParams:
     def test_param_shapes_align_with_named_params(self):
         spec = NetSpec(input_dim=7, num_classes=5, layers=(("blstm", 3), ("mlp", 4)))
@@ -331,6 +438,27 @@ class TestSpecAndParams:
     def test_predict_tie_break(self):
         probs = np.array([[0.1, 0.6, 0.1, 0.1, 0.1], [0.2, 0.2, 0.2, 0.2, 0.2]])
         np.testing.assert_array_equal(predict_stages(probs), [1, 0])
+
+    def test_params_are_views_of_the_flat_vector(self):
+        spec = NetSpec(input_dim=3, num_classes=5, layers=(("blstm", 2), ("mlp", 4)))
+        net = random_net(spec, 16)
+        np.testing.assert_array_equal(
+            net.flat, np.concatenate([a.ravel() for _, a in net.named_params()])
+        )
+        net.flat[:] = np.arange(net.flat.size)
+        assert net.layers[0].fwd.W_xi[0, 0] == 0.0
+        assert net.out_b[-1] == net.flat.size - 1
+        # a layer's fused operands are views of the same memory
+        Wx, Wh, wc, b = net.layers[0].operands()
+        assert Wx.shape == (2, 8, 3) and Wh.shape == (2, 8, 2) and wc.shape == (2, 3, 2)
+        assert all(np.shares_memory(a, net.flat) for a in (Wx, Wh, wc, b))
+        np.testing.assert_array_equal(Wx[1, 2:4], net.layers[0].bwd.W_xf)
+        np.testing.assert_array_equal(wc[0, 2], net.layers[0].fwd.w_co)
+
+    def test_weight_mask_excludes_biases(self):
+        spec = NetSpec(input_dim=3, num_classes=5, layers=(("lstm", 2), ("mlp", 4)))
+        for name, mask in ParamViews(spec, Network.zeros(spec).weight_mask()).items():
+            assert np.all(mask != is_bias(name)), name
 
     def test_clone_is_disjoint(self):
         net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("mlp", 2),)), 15)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sleepstager.network as network_mod
-from sleepstager.network import NetSpec, Network, network_backward, network_forward
+from sleepstager.network import NetSpec, Network, loss, network_backward, network_forward
 from sleepstager.training import (
     TrainConfig,
     finite_difference_gradients,
@@ -100,15 +100,17 @@ class TestGradientCheck:
         assert gradient_check(spec, T=12, seed=6) < 1e-6
 
     def test_negated_gate_derivative_is_caught(self, monkeypatch):
-        # sabotage one gate's backward term; the checker must see it
-        orig = network_mod._lstm_scan_backward
+        # sabotage the forget gate's recurrent-map gradient in the fused
+        # backward pass; the checker must see it
+        orig = network_mod._scan_backward
 
-        def sabotaged(X, cache, p, dH):
-            dX, grads = orig(X, cache, p, dH)
-            grads["W_xf"] = -grads["W_xf"]
-            return dX, grads
+        def sabotaged(cache, Wh, wc, dHs):
+            dA, grad = orig(cache, Wh, wc, dHs)
+            H = Wh.shape[2]
+            grad[:, H * H : 2 * H * H] *= -1.0
+            return dA, grad
 
-        monkeypatch.setattr(network_mod, "_lstm_scan_backward", sabotaged)
+        monkeypatch.setattr(network_mod, "_scan_backward", sabotaged)
         spec = NetSpec(input_dim=5, num_classes=5, layers=(("lstm", 4),))
         assert gradient_check(spec, T=8, seed=7) > 1e-2
 
@@ -130,6 +132,21 @@ class TestGradientCheck:
         net = init_params(spec, seed=0)
         with pytest.raises(ValueError):
             finite_difference_gradients(net, np.zeros((2, 3)), np.eye(4)[[0, 1]], order=3)
+
+
+class TestMeanLoss:
+    @pytest.mark.parametrize(
+        "layers", [(("blstm", 3),), (("lstm", 3), ("blstm", 2)), (("blstm", 2), ("mlp", 4))]
+    )
+    def test_lockstep_equals_per_night_loop(self, layers):
+        # nights of unequal length, one of a single epoch, scored together
+        rng = np.random.default_rng(16)
+        spec = NetSpec(input_dim=2, num_classes=4, layers=layers)
+        net = init_params(spec, seed=16, init_std=0.5)
+        seqs = [toy_sequences(rng, 1, T)[0] for T in (9, 1, 14, 5)]
+        looped = np.mean([loss(network_forward(net, X)[0], Y) for X, Y in seqs])
+        assert abs(mean_loss(net, seqs) - looped) <= 1e-12 * looped
+        assert mean_loss(net, seqs[1:2]) == loss(network_forward(net, seqs[1][0])[0], seqs[1][1])
 
 
 class TestTrain:
