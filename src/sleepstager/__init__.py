@@ -18,6 +18,7 @@ from .evaluate import (
     FoldResult,
     confusion_matrix,
     cross_validate,
+    fit_model,
     kfold_split,
     per_class_metrics,
     summary_document,
@@ -113,6 +114,7 @@ __all__ = [
     "epoch_actigraphy",
     "epoch_rr",
     "finite_difference_gradients",
+    "fit_model",
     "fit_pipeline",
     "frame_indices",
     "generate_cohort",

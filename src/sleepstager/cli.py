@@ -30,6 +30,7 @@ from .config import ConfigError, RunConfig, load_config
 from .evaluate import (
     confusion_matrix,
     cross_validate,
+    fit_model,
     weighted_metrics,
     write_cv_csv,
     write_cv_summary,
@@ -39,9 +40,8 @@ from .features_mid import kmeans_fit
 from .ingest import DataValidationError, _fmt, load_cohort, save_recording, stages_to_indices
 from .modelio import load_model, save_dictionary, save_model
 from .network import NetSpec, network_forward, predict_stages
-from .pipeline import FittedModel, fit_pipeline, make_sequences
 from .synth import SynthConfig, context_only_config, generate_cohort
-from .training import gradient_check, init_params, train
+from .training import gradient_check
 
 GRADCHECK_FAIL_THRESHOLD = 1e-4
 
@@ -161,31 +161,24 @@ def cmd_train(args) -> int:
     recs = load_cohort(args.data)
     train_recs, val_recs = _split_train_val(recs, args, cfg)
 
-    def prep(group):
+    def split(group):
         lows = [recording_low_features(r, frame) for r in group]
-        labels = [stages_to_indices(r.labels, cfg.num_classes) for r in group]
-        return lows, labels
+        return lows, [stages_to_indices(r.labels, cfg.num_classes) for r in group]
 
-    train_lows, train_labels = prep(train_recs)
-    val_lows, val_labels = prep(val_recs)
-    pipeline = fit_pipeline(train_lows, cfg.num_words, seed=cfg.seed)
-    train_seqs = make_sequences(train_lows, train_labels, pipeline, cfg.num_classes)
-    val_seqs = make_sequences(val_lows, val_labels, pipeline, cfg.num_classes)
-
-    spec = NetSpec(
-        input_dim=pipeline.final_dim,
-        num_classes=cfg.num_classes,
-        layers=cfg.net_layers(),
+    model, history = fit_model(
+        split(train_recs),
+        split(val_recs),
+        frame,
+        cfg.num_words,
+        cfg.net_layers(),
+        cfg.train_config(),
+        cfg.num_classes,
+        (cfg.seed,) * 3,
     )
-    net = init_params(spec, seed=cfg.seed, init_std=cfg.init_std)
-    trained, history = train(net, train_seqs, val_seqs, cfg.train_config())
     for train_loss, val_loss in history:
         _require_finite(train_loss, "training loss")
         _require_finite(val_loss, "validation loss")
 
-    model = FittedModel(
-        frame=frame, num_classes=cfg.num_classes, pipeline=pipeline, net=trained
-    )
     save_model(model, args.model)
     history_path = args.history or args.model + ".history.csv"
     with open(history_path, "w", encoding="utf-8", newline="") as fh:
@@ -229,14 +222,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_cv(args) -> int:
-    cfg = _cfg(args)
-    recs = load_cohort(args.data)
+def _cross_validate(cfg: RunConfig, recs, net_layers):
+    """Cross-validate ``net_layers`` on ``recs`` under ``cfg``; the aggregate must be finite."""
     report = cross_validate(
         recs,
         frame=cfg.frame(),
         num_words=cfg.num_words,
-        net_layers=cfg.net_layers(),
+        net_layers=net_layers,
         train_cfg=cfg.train_config(),
         k=cfg.folds,
         rounds=cfg.rounds,
@@ -245,6 +237,12 @@ def cmd_cv(args) -> int:
     )
     for metric in (report.precision, report.recall, report.f1):
         _require_finite(metric, "aggregate metric")
+    return report
+
+
+def cmd_cv(args) -> int:
+    cfg = _cfg(args)
+    report = _cross_validate(cfg, load_cohort(args.data), cfg.net_layers())
     write_cv_csv(report, args.out_csv)
     write_cv_summary(report, args.out_json)
     print(
@@ -281,19 +279,7 @@ def cmd_sweep(args) -> int:
     recs = load_cohort(args.data)
     rows = []
     for kind, depth, width in cfg.sweep_grid():
-        report = cross_validate(
-            recs,
-            frame=cfg.frame(),
-            num_words=cfg.num_words,
-            net_layers=((kind, width),) * depth,
-            train_cfg=cfg.train_config(),
-            k=cfg.folds,
-            rounds=cfg.rounds,
-            seed=cfg.seed,
-            num_classes=cfg.num_classes,
-        )
-        for metric in (report.precision, report.recall, report.f1):
-            _require_finite(metric, "aggregate metric")
+        report = _cross_validate(cfg, recs, ((kind, width),) * depth)
         rows.append((kind, depth, width, report.precision, report.recall, report.f1))
         print(
             f"{kind} x{depth} @{width}: P={_fmt(report.precision)} "

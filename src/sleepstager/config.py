@@ -52,21 +52,18 @@ class RunConfig:
     sweep_units: str = "32,64"
 
     def __post_init__(self):
+        try:
+            self.frame()
+            self.train_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         checks = [
-            (self.frame_epochs >= 1, "frame_epochs must be >= 1"),
-            (self.freq_components >= 3, "freq_components must be >= 3"),
-            (self.cepstrum_components >= 1, "cepstrum_components must be >= 1"),
             (self.num_words >= 1, "num_words must be >= 1"),
             (self.hidden_type in LAYER_KINDS,
              f"hidden_type must be one of {LAYER_KINDS}"),
             (1 <= self.layers <= 4, "layers must be between 1 and 4"),
             (self.units >= 1, "units must be >= 1"),
-            (self.learning_rate >= 0.0, "learning_rate must be >= 0"),
-            (self.init_std > 0.0, "init_std must be > 0"),
-            (self.weight_noise_std >= 0.0, "weight_noise_std must be >= 0"),
-            (self.max_passes >= 1, "max_passes must be >= 1"),
-            (self.patience >= 1, "patience must be >= 1"),
-            (self.folds >= 2, "folds must be >= 2"),
+            (self.folds >= 3, "folds must be >= 3 (a test, a validation and a training fold)"),
             (self.rounds >= 1, "rounds must be >= 1"),
             (self.num_classes in (4, 5), "num_classes must be 4 or 5"),
             (self.val_count >= 1, "val_count must be >= 1"),

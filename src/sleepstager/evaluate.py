@@ -18,8 +18,10 @@ import numpy as np
 from .features_low import FrameConfig, recording_low_features
 from .ingest import Recording, _fmt, class_names, stages_to_indices
 from .network import NetSpec, network_forward, predict_stages
-from .pipeline import FittedPipeline, fit_pipeline, make_sequences
+from .pipeline import FittedModel, FittedPipeline, fit_pipeline, make_sequences
 from .training import TrainConfig, init_params, train
+
+Split = tuple[list[np.ndarray], list[np.ndarray]]  # (low features, stage indices) per recording
 
 
 def confusion_matrix(reference: np.ndarray, predicted: np.ndarray, num_classes: int) -> np.ndarray:
@@ -77,6 +79,33 @@ def kfold_split(subject_ids: list[str], k: int, seed: int) -> list[list[str]]:
     return [shuffled[j::k] for j in range(k)]
 
 
+def fit_model(
+    train_split: Split,
+    val_split: Split,
+    frame: FrameConfig,
+    num_words: int,
+    net_layers: tuple[tuple[str, int], ...],
+    train_cfg: TrainConfig,
+    num_classes: int,
+    seeds: tuple[int, int, int],
+) -> tuple[FittedModel, list[tuple[float, float]]]:
+    """Codebook and z-score fitted on the training split, then a network trained
+    with early stopping on the validation split; ``seeds`` are the k-means,
+    init and SGD seeds. Returns the model and the per-pass (train, val) losses.
+    """
+    kmeans_seed, init_seed, sgd_seed = seeds
+    pipeline = fit_pipeline(train_split[0], num_words, seed=kmeans_seed)
+    spec = NetSpec(input_dim=pipeline.final_dim, num_classes=num_classes, layers=net_layers)
+    net = init_params(spec, seed=init_seed, init_std=train_cfg.init_std)
+    trained, history = train(
+        net,
+        make_sequences(*train_split, pipeline, num_classes),
+        make_sequences(*val_split, pipeline, num_classes),
+        replace(train_cfg, seed=sgd_seed),
+    )
+    return FittedModel(frame, num_classes, pipeline, trained), history
+
+
 @dataclass(frozen=True)
 class FoldResult:
     """One train/validate/test iteration's outcome."""
@@ -120,10 +149,12 @@ def cross_validate(
 
     Low-level features depend only on each recording's own signals, so they
     are extracted once up front. Everything fitted (dictionary, z-score
-    stats, network) comes from the six training folds of each iteration.
+    stats, network) comes from the k - 2 training folds of each iteration.
     Per-iteration seeds are spawned from (seed, round, fold) so results
     never depend on execution order; fold shuffling uses seed + round.
     """
+    if k < 3:
+        raise ValueError(f"k={k}: need a test, a validation and a training fold (k >= 3)")
     ids = [r.subject_id for r in recordings]
     if len(set(ids)) != len(ids):
         raise ValueError("subject ids must be unique")
@@ -131,48 +162,25 @@ def cross_validate(
     lows = [recording_low_features(r, frame) for r in recordings]
     labels = [stages_to_indices(r.labels, num_classes) for r in recordings]
 
+    def split(id_list) -> Split:
+        return [lows[by_id[s]] for s in id_list], [labels[by_id[s]] for s in id_list]
+
     results: list[FoldResult] = []
     for round_index in range(rounds):
         folds = kfold_split(ids, k, seed + round_index)
         for fold_index in range(k):
-            test_ids = folds[fold_index]
-            val_ids = folds[(fold_index + 1) % k]
-            train_ids = [
-                sid
-                for j in range(k)
-                if j not in (fold_index, (fold_index + 1) % k)
-                for sid in folds[j]
-            ]
-            seeds = np.random.SeedSequence(
-                seed, spawn_key=(round_index, fold_index)
-            ).generate_state(3)
-            kmeans_seed, init_seed, sgd_seed = (int(s) for s in seeds)
-
-            train_lows = [lows[by_id[s]] for s in train_ids]
-            pipeline = fit_pipeline(train_lows, num_words, seed=kmeans_seed)
-
-            def seqs(id_list):
-                return make_sequences(
-                    [lows[by_id[s]] for s in id_list],
-                    [labels[by_id[s]] for s in id_list],
-                    pipeline,
-                    num_classes,
-                )
-
-            spec = NetSpec(
-                input_dim=pipeline.final_dim,
-                num_classes=num_classes,
-                layers=net_layers,
+            val_index = (fold_index + 1) % k
+            test_ids, val_ids = folds[fold_index], folds[val_index]
+            train_ids = [s for j in range(k) if j not in (fold_index, val_index) for s in folds[j]]
+            seeds = np.random.SeedSequence(seed, spawn_key=(round_index, fold_index))
+            model, history = fit_model(
+                split(train_ids), split(val_ids), frame, num_words, net_layers, train_cfg,
+                num_classes, tuple(int(s) for s in seeds.generate_state(3)),
             )
-            net = init_params(spec, seed=init_seed, init_std=train_cfg.init_std)
-            cfg = replace(train_cfg, seed=sgd_seed)
-            trained, history = train(net, seqs(train_ids), seqs(val_ids), cfg)
 
-            refs, preds = [], []
-            for sid in test_ids:
-                probs, _ = network_forward(trained, pipeline.transform(lows[by_id[sid]]))
-                preds.append(predict_stages(probs))
-                refs.append(labels[by_id[sid]])
+            test_lows, refs = split(test_ids)
+            probs = [network_forward(model.net, model.pipeline.transform(x))[0] for x in test_lows]
+            preds = [predict_stages(night) for night in probs]
             cm = confusion_matrix(np.concatenate(refs), np.concatenate(preds), num_classes)
             p, r, f1 = weighted_metrics(cm)
             results.append(
@@ -184,7 +192,7 @@ def cross_validate(
                     precision=p,
                     recall=r,
                     f1=f1,
-                    pipeline=pipeline,
+                    pipeline=model.pipeline,
                     passes_run=len(history),
                 )
             )

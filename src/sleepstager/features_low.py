@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import MIN_EPOCH_ACTIGRAPHY, Recording, RrEpoch
+from .ingest import MIN_EPOCH_ACTIGRAPHY, DataValidationError, Recording, RrEpoch
 from .ingest import epoch_actigraphy, epoch_rr, impute_empty_rr
 from .transforms import dct2, real_cepstrum
 
@@ -122,9 +122,13 @@ def recording_low_features(rec: Recording, cfg: FrameConfig) -> np.ndarray:
     whole frame around t (``frame_indices``), the actigraphy block reads
     epoch t alone. Empty RR epochs are imputed first.
     """
+    n = rec.num_epochs
+    if n < cfg.frame_epochs:
+        raise DataValidationError(
+            f"{rec.subject_id}: recording has {n} epochs, frame needs {cfg.frame_epochs}"
+        )
     rr_epochs = impute_empty_rr(epoch_rr(rec))
     act_epochs = epoch_actigraphy(rec)
-    n = rec.num_epochs
     frames = frame_indices(np.arange(n), n, cfg.frame_epochs)
     mean_rr = np.array([np.mean(e.rr) for e in rr_epochs])
     freq = dct_block(rr_epochs, cfg.freq_components)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_WORDS = 300
 KMEANS_MAX_ITERS = 100
 KMEANS_TOL = 1e-6
 

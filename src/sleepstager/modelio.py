@@ -135,6 +135,7 @@ def load_model(path: str) -> FittedModel:
             layers=tuple((k, h) for k, h in header["layers"]),
         )
         array_meta = header["arrays"]
+        low_dim, num_words, final_dim = header["low_dim"], header["num_words"], header["final_dim"]
         dict_meta = (
             header["dict_iterations"],
             header["dict_objective"],
@@ -149,13 +150,23 @@ def load_model(path: str) -> FittedModel:
     for key in required + [f"net.{name}" for name, _ in net.named_params()]:
         if key not in loaded:
             raise DataValidationError(f"{path}: missing array {key}")
+    centers, mean, std = (loaded[key] for key in required)
+    if not (
+        centers.shape == (num_words, low_dim) and low_dim == frame.dim
+        and final_dim == low_dim + num_words and mean.shape == std.shape == (final_dim,)
+    ):
+        raise DataValidationError(
+            f"{path}: inconsistent dims: centers {centers.shape}, num_words {num_words}, "
+            f"low_dim {low_dim}, frame dim {frame.dim}, final_dim {final_dim}, "
+            f"norm.mean {mean.shape}, norm.std {std.shape}"
+        )
     for name, arr in net.named_params():
         if loaded[f"net.{name}"].shape != arr.shape:
             raise DataValidationError(f"{path}: shape mismatch for net.{name}")
         arr[:] = loaded[f"net.{name}"]
     iterations, objective, history = dict_meta
     dictionary = Dictionary(
-        centers=loaded["dictionary.centers"],
+        centers=centers,
         iterations=iterations,
         objective=objective,
         objective_history=history,
@@ -165,7 +176,7 @@ def load_model(path: str) -> FittedModel:
         num_classes=header["num_classes"],
         pipeline=FittedPipeline(
             dictionary=dictionary,
-            stats=NormStats(mean=loaded["norm.mean"], std=loaded["norm.std"]),
+            stats=NormStats(mean=mean, std=std),
         ),
         net=net,
     )

@@ -22,8 +22,8 @@ from .features_mid import (
     zscore_apply,
     zscore_fit,
 )
-from .ingest import Recording, stages_to_indices
-from .network import NetSpec, Network
+from .ingest import Recording
+from .network import Network
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
     return np.eye(num_classes)[np.asarray(indices, dtype=np.int64)]
 
 
-def label_matrix(rec: Recording, num_classes: int) -> np.ndarray:
-    return one_hot(stages_to_indices(rec.labels, num_classes), num_classes)
-
-
 def make_sequences(
     lows: list[np.ndarray],
     labels: list[np.ndarray],
@@ -90,7 +86,3 @@ class FittedModel:
 
     def features_for(self, rec: Recording) -> np.ndarray:
         return self.pipeline.transform(recording_low_features(rec, self.frame))
-
-    @property
-    def spec(self) -> NetSpec:
-        return self.net.spec

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from sleepstager import cli
+from sleepstager.evaluate import fit_model
 from sleepstager.features_low import FrameConfig, recording_low_features
-from sleepstager.ingest import load_cohort
-from sleepstager.modelio import load_dictionary, load_model
+from sleepstager.ingest import load_cohort, stages_to_indices
+from sleepstager.modelio import load_dictionary, load_model, save_model
+from sleepstager.training import TrainConfig
 
 FAST = [
     "--set", "frame_epochs=4",
@@ -116,6 +118,31 @@ def test_train_outputs_are_deterministic(cohort_dir, tmp_path):
         paths.append((model_path, hist_path))
     assert read_bytes(paths[0][0]) == read_bytes(paths[1][0])
     assert read_bytes(paths[0][1]) == read_bytes(paths[1][1])
+
+
+def test_train_model_is_the_fit_model_recipe(cohort_dir, tmp_path):
+    model_path = str(tmp_path / "model.bin")
+    assert cli.main(["train", cohort_dir, model_path, "--set", "seed=4"] + FAST) == 0
+    frame = FrameConfig(frame_epochs=4)
+    recs = load_cohort(cohort_dir)
+
+    def split(group):
+        lows = [recording_low_features(r, frame) for r in group]
+        return lows, [stages_to_indices(r.labels, 5) for r in group]
+
+    model, _ = fit_model(
+        split(recs[:-1]),
+        split(recs[-1:]),
+        frame,
+        num_words=8,
+        net_layers=(("blstm", 5),),
+        train_cfg=TrainConfig(learning_rate=0.05, max_passes=1),
+        num_classes=5,
+        seeds=(4, 4, 4),
+    )
+    ref_path = str(tmp_path / "ref.bin")
+    save_model(model, ref_path)
+    assert read_bytes(model_path) == read_bytes(ref_path)
 
 
 def test_train_val_subjects_flag(cohort_dir, tmp_path):
@@ -233,6 +260,22 @@ def test_sparse_actigraphy_epoch_exits_2_in_every_command(cohort_dir, tmp_path, 
     assert "actigraphy epoch 100 has 0 sample(s)" in errors[0]
 
 
+def test_night_shorter_than_frame_exits_2(cohort_dir, tmp_path, capsys):
+    short = str(tmp_path / "short")
+    assert cli.main(["synth", short, "--recordings", "3", "--epochs", "3"]) == 0
+    model = str(tmp_path / "model.bin")
+    assert cli.main(["train", cohort_dir, model] + FAST) == 0
+    capsys.readouterr()
+    for argv in (
+        ["extract", short, str(tmp_path / "low")] + FAST,
+        ["train", short, str(tmp_path / "short.bin")] + FAST,
+        ["eval", model, short],
+        ["cv", short, "--set", "folds=3"] + FAST,
+    ):
+        assert cli.main(argv) == 2, argv
+        assert "s00: recording has 3 epochs, frame needs 4" in capsys.readouterr().err
+
+
 def test_corrupt_csv_exits_2(tmp_path):
     d = str(tmp_path / "data")
     assert cli.main(["synth", d, "--recordings", "2", "--epochs", "8"]) == 0
@@ -259,7 +302,11 @@ def test_model_header_faults_exit_2(cohort_dir, tmp_path, capsys):
     assert cli.main(["train", cohort_dir, model] + FAST) == 0
     with open(model, "rb") as fh:
         raw = fh.read()
-    for old, new in ((b'"norm.std"', b'"norm.sdv"'), (b'"version":1', b'"version":9')):
+    for old, new in (
+        (b'"norm.std"', b'"norm.sdv"'),
+        (b'"version":1', b'"version":9'),
+        (b'"frame_epochs":4', b'"frame_epochs":3'),
+    ):
         assert old in raw
         with open(model, "wb") as fh:
             fh.write(raw.replace(old, new))

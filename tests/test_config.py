@@ -75,6 +75,7 @@ def test_malformed_override_rejected():
         ("max_passes", 0),
         ("patience", 0),
         ("folds", 1),
+        ("folds", 2),
         ("rounds", 0),
         ("num_classes", 3),
         ("val_count", 0),

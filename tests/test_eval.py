@@ -3,10 +3,13 @@ import pytest
 
 from sleepstager.evaluate import (
     confusion_matrix,
+    cross_validate,
     kfold_split,
     per_class_metrics,
     weighted_metrics,
 )
+from sleepstager.features_low import FrameConfig
+from sleepstager.training import TrainConfig
 
 
 class TestConfusionMatrix:
@@ -117,3 +120,8 @@ class TestKfold:
     def test_too_few_subjects_rejected(self):
         with pytest.raises(ValueError):
             kfold_split(["a", "b"], k=8, seed=0)
+
+    def test_cross_validate_needs_three_folds(self):
+        # with k=2 the test and validation folds take every subject
+        with pytest.raises(ValueError, match="a test, a validation and a training fold"):
+            cross_validate([], FrameConfig(), 8, (("mlp", 4),), TrainConfig(), k=2)

@@ -24,7 +24,8 @@ from sleepstager.training import init_params
 
 def tiny_model(seed=0, layers=(("blstm", 6),), num_classes=5, num_words=7):
     rng = np.random.default_rng(np.random.Philox(seed))
-    low_dim = 11
+    frame = FrameConfig(frame_epochs=3, freq_components=3, cepstrum_components=2)
+    low_dim = frame.dim
     samples = rng.normal(size=(60, low_dim))
     d = kmeans_fit(samples, k=num_words, seed=seed)
     final_dim = low_dim + num_words
@@ -32,7 +33,7 @@ def tiny_model(seed=0, layers=(("blstm", 6),), num_classes=5, num_words=7):
     spec = NetSpec(input_dim=final_dim, num_classes=num_classes, layers=layers)
     net = init_params(spec, seed=seed + 1)
     return FittedModel(
-        frame=FrameConfig(frame_epochs=3, freq_components=3, cepstrum_components=2),
+        frame=frame,
         num_classes=num_classes,
         pipeline=FittedPipeline(dictionary=d, stats=stats),
         net=net,
@@ -176,6 +177,35 @@ def test_net_shape_mismatch_rejected(tmp_path):
 
     rewrite_header(path, transpose_out_w)
     with pytest.raises(DataValidationError, match="shape mismatch"):
+        load_model(path)
+
+
+def _reshape_array(name, shape):
+    def edit(header):
+        for entry in header["arrays"]:
+            if entry[0] == name:
+                entry[1] = shape
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.update(num_words=h["num_words"] + 1),
+        lambda h: h.update(low_dim=h["low_dim"] + 1),
+        lambda h: h["frame"].update(frame_epochs=2),
+        lambda h: h.update(final_dim=h["final_dim"] + 1),
+        _reshape_array("norm.mean", [1, 34]),
+        _reshape_array("norm.std", [2, 17]),
+    ],
+)
+def test_inconsistent_pipeline_header_rejected(tmp_path, edit):
+    # every edit keeps the body's size, so only the consistency checks can fail
+    path = str(tmp_path / "m.slpnet")
+    save_model(tiny_model(), path)
+    rewrite_header(path, edit)
+    with pytest.raises(DataValidationError, match="inconsistent dims"):
         load_model(path)
 
 
