@@ -11,7 +11,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .features_low import FrameConfig
-from .network import LAYER_KINDS
+from .network import check_net_shape
 from .training import TrainConfig
 
 
@@ -55,17 +55,13 @@ class RunConfig:
         try:
             self.frame()
             self.train_config()
+            check_net_shape(self.net_layers(), self.num_classes)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         checks = [
             (self.num_words >= 1, "num_words must be >= 1"),
-            (self.hidden_type in LAYER_KINDS,
-             f"hidden_type must be one of {LAYER_KINDS}"),
-            (1 <= self.layers <= 4, "layers must be between 1 and 4"),
-            (self.units >= 1, "units must be >= 1"),
             (self.folds >= 3, "folds must be >= 3 (a test, a validation and a training fold)"),
             (self.rounds >= 1, "rounds must be >= 1"),
-            (self.num_classes in (4, 5), "num_classes must be 4 or 5"),
             (self.val_count >= 1, "val_count must be >= 1"),
         ]
         for ok, message in checks:
@@ -95,9 +91,6 @@ class RunConfig:
     def sweep_grid(self) -> list[tuple[str, int, int]]:
         """All (hidden_type, layers, units) combinations of the sweep lists."""
         kinds = [t.strip() for t in self.sweep_types.split(",") if t.strip()]
-        for kind in kinds:
-            if kind not in LAYER_KINDS:
-                raise ConfigError(f"sweep_types entry {kind!r} is not a layer kind")
         try:
             depths = [int(v) for v in self.sweep_layers.split(",") if v.strip()]
             widths = [int(v) for v in self.sweep_units.split(",") if v.strip()]
@@ -105,11 +98,13 @@ class RunConfig:
             raise ConfigError(f"sweep lists must be comma-separated integers: {exc}") from exc
         if not kinds or not depths or not widths:
             raise ConfigError("sweep lists must be non-empty")
-        if any(not 1 <= d <= 4 for d in depths):
-            raise ConfigError("sweep_layers entries must be between 1 and 4")
-        if any(w < 1 for w in widths):
-            raise ConfigError("sweep_units entries must be >= 1")
-        return [(t, d, w) for t in kinds for d in depths for w in widths]
+        grid = [(t, d, w) for t in kinds for d in depths for w in widths]
+        for kind, depth, width in grid:
+            try:
+                check_net_shape(((kind, width),) * depth, self.num_classes)
+            except ValueError as exc:
+                raise ConfigError(f"sweep cell {kind} x{depth} @{width}: {exc}") from exc
+        return grid
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}

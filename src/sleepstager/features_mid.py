@@ -43,22 +43,31 @@ class NormStats:
     std: np.ndarray
 
 
-def _squared_distances(samples: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """All pairwise squared Euclidean distances, shape (n, K), clipped at 0."""
-    sq = (
-        np.sum(samples**2, axis=1)[:, None]
-        + np.sum(centers**2, axis=1)[None, :]
-        - 2.0 * samples @ centers.T
-    )
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    return np.sum(x**2, axis=1)
+
+
+def _squared_distances(
+    samples: np.ndarray, centers: np.ndarray, sample_norms: np.ndarray | None = None
+) -> np.ndarray:
+    """All pairwise squared Euclidean distances, shape (n, K), clipped at 0.
+
+    ``sample_norms`` is ``_squared_norms(samples)`` when the caller already has it.
+    """
+    if sample_norms is None:
+        sample_norms = _squared_norms(samples)
+    sq = sample_norms[:, None] + _squared_norms(centers)[None, :] - 2.0 * samples @ centers.T
     return np.maximum(sq, 0.0)
 
 
-def _plusplus_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plusplus_init(
+    samples: np.ndarray, sample_norms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     """Spread-out seeding: each new center drawn with probability ∝ D²."""
     n = samples.shape[0]
     centers = np.empty((k, samples.shape[1]))
     centers[0] = samples[rng.integers(n)]
-    d2 = _squared_distances(samples, centers[:1]).ravel()
+    d2 = _squared_distances(samples, centers[:1], sample_norms).ravel()
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -66,7 +75,7 @@ def _plusplus_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.
             centers[j] = samples[rng.integers(n)]
             continue
         centers[j] = samples[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, _squared_distances(samples, centers[j : j + 1]).ravel())
+        d2 = np.minimum(d2, _squared_distances(samples, centers[j : j + 1], sample_norms).ravel())
     return centers
 
 
@@ -90,17 +99,20 @@ def kmeans_fit(
         raise ValueError("samples must be a 2-d array")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     n = samples.shape[0]
     if n < k:
         raise ValueError(f"need at least k={k} samples, got {n}")
     rng = np.random.default_rng(seed)
-    centers = _plusplus_init(samples, k, rng)
+    sample_norms = _squared_norms(samples)
+    centers = _plusplus_init(samples, sample_norms, k, rng)
 
     history: list[float] = []
     prev = np.inf
     iterations = 0
     for _ in range(max_iters):
-        assign = np.argmin(_squared_distances(samples, centers), axis=1)
+        assign = np.argmin(_squared_distances(samples, centers, sample_norms), axis=1)
         # objective from direct subtraction so coincident point/center pairs
         # contribute exactly zero (the expanded form leaves ~1e-14 residue)
         point_d2 = np.sum((samples - centers[assign]) ** 2, axis=1)

@@ -32,6 +32,8 @@ RATE_TOLERANCE = 0.05
 # An epoch's cepstra are of its first-differenced actigraphy, and a
 # cepstrum needs at least 2 values.
 MIN_EPOCH_ACTIGRAPHY = 3
+HR_HEADER = ["t_seconds", "bpm"]
+ACT_HEADER = ["t_seconds", "x_g", "y_g", "z_g"]
 
 
 class DataValidationError(ValueError):
@@ -304,13 +306,13 @@ def _read_table(path: str, header: list[str], what: str) -> np.ndarray:
 
 def load_heart_rate_csv(path: str) -> HeartRateSeries:
     """Parse a heart-rate CSV (header ``t_seconds,bpm``)."""
-    table = _read_table(path, ["t_seconds", "bpm"], "heart rate")
+    table = _read_table(path, HR_HEADER, "heart rate")
     return HeartRateSeries(t=table[:, 0], bpm=table[:, 1])
 
 
 def load_actigraphy_csv(path: str, nominal_rate: float = ACTIGRAPHY_RATE_HZ) -> ActigraphySeries:
     """Parse an actigraphy CSV (header ``t_seconds,x_g,y_g,z_g``)."""
-    table = _read_table(path, ["t_seconds", "x_g", "y_g", "z_g"], "actigraphy")
+    table = _read_table(path, ACT_HEADER, "actigraphy")
     return ActigraphySeries(t=table[:, 0], xyz=table[:, 1:], nominal_rate=nominal_rate)
 
 
@@ -425,6 +427,37 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# Rows formatted and written per call in ``_write_table``: large enough to
+# amortise the per-block work, small enough that a block's text stays
+# under a megabyte whatever the night's length.
+WRITE_CHUNK = 4096
+
+
+def _write_table(path: str, header: list[str], t: np.ndarray, values: np.ndarray) -> None:
+    """Write ``t`` and the columns of ``values`` (n, c) as a numeric CSV.
+
+    The mirror of ``_read_table``. Every value is written as its float64's
+    ``repr``, as ``_fmt`` does, so the file loads back bit for bit. Rows go
+    out WRITE_CHUNK at a time: a block is copied into one float64 buffer,
+    turned into Python floats with ``tolist`` and formatted by a single
+    ``%`` of the row format repeated once per row.
+    """
+    n = len(t)
+    if len(values) != n:
+        raise ValueError(f"{path}: {n} times but {len(values)} rows of values")
+    width = 1 + values.shape[1]
+    row = ",".join(["%r"] * width) + "\n"
+    block = np.empty((min(n, WRITE_CHUNK), width))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, WRITE_CHUNK):
+            stop = min(start + WRITE_CHUNK, n)
+            rows = block[: stop - start]
+            rows[:, 0] = t[start:stop]
+            rows[:, 1:] = values[start:stop]
+            fh.write((row * (stop - start)) % tuple(rows.ravel().tolist()))
+
+
 def save_recording(rec: Recording, directory: str) -> dict[str, str]:
     """Write a recording to ``<subject>_hr/act/labels.csv``; returns the paths.
 
@@ -437,18 +470,11 @@ def save_recording(rec: Recording, directory: str) -> dict[str, str]:
         "act": os.path.join(directory, f"{rec.subject_id}_act.csv"),
         "labels": os.path.join(directory, f"{rec.subject_id}_labels.csv"),
     }
-    with open(paths["hr"], "w", newline="") as fh:
-        fh.write("t_seconds,bpm\n")
-        for t, bpm in zip(rec.hr.t, rec.hr.bpm):
-            fh.write(f"{_fmt(t)},{_fmt(bpm)}\n")
-    with open(paths["act"], "w", newline="") as fh:
-        fh.write("t_seconds,x_g,y_g,z_g\n")
-        for t, (x, y, z) in zip(rec.act.t, rec.act.xyz):
-            fh.write(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n")
+    _write_table(paths["hr"], HR_HEADER, rec.hr.t, rec.hr.bpm[:, None])
+    _write_table(paths["act"], ACT_HEADER, rec.act.t, rec.act.xyz)
     with open(paths["labels"], "w", newline="") as fh:
-        fh.write("epoch_index,stage\n")
-        for k, s in enumerate(rec.labels):
-            fh.write(f"{k},{s.value}\n")
+        labels = "".join(f"{k},{s.value}\n" for k, s in enumerate(rec.labels))
+        fh.write("epoch_index,stage\n" + labels)
     return paths
 
 

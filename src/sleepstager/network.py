@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import expit
 
 LAYER_KINDS = ("mlp", "lstm", "blstm")
+MAX_LAYERS = 4
 
 # canonical field order of one direction; the layout table, the flat
 # parameter vector, gradients and model files all follow it. Gate order
@@ -52,6 +53,23 @@ def _lstm_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
     return {name: maps.get(name[:3], (hidden,)) for name in LSTM_FIELDS}
 
 
+def check_net_shape(layers, num_classes: int) -> None:
+    """The network-shape rules: 1 to MAX_LAYERS (kind, units) layers of a
+    known kind with at least one unit each, under a 4- or 5-class head.
+
+    ``NetSpec``, the run config and ``gradcheck`` all check through here.
+    """
+    if num_classes not in (4, 5):
+        raise ValueError("num_classes must be 4 or 5")
+    if not 1 <= len(layers) <= MAX_LAYERS:
+        raise ValueError(f"layers must be between 1 and {MAX_LAYERS}")
+    for kind, units in layers:
+        if kind not in LAYER_KINDS:
+            raise ValueError(f"hidden_type must be one of {LAYER_KINDS}, got {kind!r}")
+        if units < 1:
+            raise ValueError("units must be >= 1")
+
+
 @dataclass(frozen=True)
 class NetSpec:
     """Architecture description: stacked layers plus the softmax head.
@@ -67,15 +85,7 @@ class NetSpec:
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        if self.num_classes not in (4, 5):
-            raise ValueError("num_classes must be 4 or 5")
-        if not self.layers:
-            raise ValueError("need at least one layer")
-        for kind, hidden in self.layers:
-            if kind not in LAYER_KINDS:
-                raise ValueError(f"unknown layer kind {kind!r}")
-            if hidden < 1:
-                raise ValueError("hidden size must be >= 1")
+        check_net_shape(self.layers, self.num_classes)
 
     def layer_io_dims(self) -> list[tuple[int, int]]:
         """(input, output) width of each layer in stack order."""

@@ -2,16 +2,17 @@
 
 These are the straightforward per-epoch and per-row versions: one boolean
 mask per epoch for bucketing, one feature vector per epoch assembled from
-its frame, and a row-by-row CSV parser. Tests compare the package against
-them byte for byte.
+its frame, and a row-by-row CSV parser and writer. Tests compare the
+package against them byte for byte.
 """
 
 import csv
+import os
 
 import numpy as np
 
 from sleepstager.features_low import FrameConfig
-from sleepstager.ingest import DataValidationError, Recording, RrEpoch, impute_empty_rr
+from sleepstager.ingest import DataValidationError, Recording, RrEpoch, _fmt, impute_empty_rr
 from sleepstager.transforms import dct2, real_cepstrum
 
 
@@ -88,3 +89,26 @@ def row_loop_table(path: str, header: list[str], what: str) -> np.ndarray:
     if not rows:
         raise DataValidationError(f"{path}: no {what} samples")
     return np.array(rows)
+
+
+def row_loop_save_recording(rec: Recording, directory: str) -> dict[str, str]:
+    """The row-by-row writer: one f-string of ``_fmt`` values per row."""
+    os.makedirs(directory, exist_ok=True)
+    paths = {
+        "hr": os.path.join(directory, f"{rec.subject_id}_hr.csv"),
+        "act": os.path.join(directory, f"{rec.subject_id}_act.csv"),
+        "labels": os.path.join(directory, f"{rec.subject_id}_labels.csv"),
+    }
+    with open(paths["hr"], "w", newline="") as fh:
+        fh.write("t_seconds,bpm\n")
+        for t, bpm in zip(rec.hr.t, rec.hr.bpm):
+            fh.write(f"{_fmt(t)},{_fmt(bpm)}\n")
+    with open(paths["act"], "w", newline="") as fh:
+        fh.write("t_seconds,x_g,y_g,z_g\n")
+        for t, (x, y, z) in zip(rec.act.t, rec.act.xyz):
+            fh.write(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n")
+    with open(paths["labels"], "w", newline="") as fh:
+        fh.write("epoch_index,stage\n")
+        for k, s in enumerate(rec.labels):
+            fh.write(f"{k},{s.value}\n")
+    return paths

@@ -213,7 +213,10 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["train"]) == 1
     assert cli.main(["gradcheck", "--layers", "9"]) == 1
-    capsys.readouterr()
+    assert "layers must be between 1 and 4" in capsys.readouterr().err
+    for flag in ("--layers", "--units", "--seq-len", "--input-dim"):
+        assert cli.main(["gradcheck", flag, "0"]) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_config_errors_exit_1(cohort_dir, tmp_path, capsys):

@@ -103,6 +103,10 @@ def test_sweep_grid_products_and_validation():
         RunConfig(sweep_types="gru").sweep_grid()
     with pytest.raises(ConfigError):
         RunConfig(sweep_layers="0").sweep_grid()
+    with pytest.raises(ConfigError, match="between 1 and 4"):
+        RunConfig(sweep_layers="1,5").sweep_grid()
+    with pytest.raises(ConfigError, match="units"):
+        RunConfig(sweep_units="8,0").sweep_grid()
     with pytest.raises(ConfigError):
         RunConfig(sweep_units="x").sweep_grid()
     with pytest.raises(ConfigError):

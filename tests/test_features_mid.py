@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sleepstager import features_mid
 from sleepstager.features_mid import (
     Dictionary,
     NormStats,
@@ -21,6 +22,49 @@ def blobs(rng, k, per_blob, dim, spread=8.0, std=0.5):
         samples.append(pts)
         means.append(pts.mean(axis=0))
     return np.concatenate(samples), np.array(means), std
+
+
+def sq_dist(x, c):
+    return np.maximum(
+        np.sum(x**2, axis=1)[:, None] + np.sum(c**2, axis=1)[None, :] - 2.0 * x @ c.T, 0.0
+    )
+
+
+def recomputing_kmeans(samples, k, seed, max_iters=100, tol=1e-6):
+    """k-means as it was written before sample norms were computed once per
+    fit: every distance call squares and sums all samples again."""
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, samples.shape[1]))
+    centers[0] = samples[rng.integers(n)]
+    d2 = sq_dist(samples, centers[:1]).ravel()
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[j] = samples[rng.integers(n)]
+            continue
+        centers[j] = samples[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, sq_dist(samples, centers[j : j + 1]).ravel())
+    history, prev = [], np.inf
+    for _ in range(max_iters):
+        assign = np.argmin(sq_dist(samples, centers), axis=1)
+        point_d2 = np.sum((samples - centers[assign]) ** 2, axis=1)
+        objective = float(point_d2.sum())
+        history.append(objective)
+        counts = np.bincount(assign, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            for cluster, point in zip(empties, np.argsort(point_d2)[::-1]):
+                assign[point] = cluster
+            counts = np.bincount(assign, minlength=k)
+        for j in range(k):
+            if counts[j]:
+                centers[j] = samples[assign == j].mean(axis=0)
+        if prev < np.inf and ((prev - objective) / prev if prev > 0 else 0.0) < tol:
+            break
+        prev = objective
+    return centers, tuple(history)
 
 
 class TestKmeans:
@@ -78,6 +122,29 @@ class TestKmeans:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             kmeans_fit(np.zeros((3, 2)), k=4, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_non_positive_k_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            kmeans_fit(np.zeros((3, 2)), k=k, seed=0)
+
+    @pytest.mark.parametrize(
+        "n,dim,k,seed",
+        [(60, 7, 8, 0), (200, 13, 30, 5), (30, 1, 5, 2), (97, 40, 97, 9)],
+    )
+    def test_matches_recomputing_oracle_byte_for_byte(self, n, dim, k, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10.0, size=dim)
+        samples[: n // 4] = samples[0]  # coincident points reach the D² = 0 branch
+        d = kmeans_fit(samples, k=k, seed=seed)
+        centers, history = recomputing_kmeans(samples, k, seed)
+        assert d.centers.tobytes() == centers.tobytes()
+        assert d.objective_history == history
+        # the distances themselves, which a last-bit change could alter
+        # without moving any assignment
+        norms = features_mid._squared_norms(samples)
+        got = features_mid._squared_distances(samples, centers, norms)
+        assert got.tobytes() == sq_dist(samples, centers).tobytes()
 
 
 class TestBowEncode:

@@ -2,11 +2,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sleepstager.ingest import (
+    WRITE_CHUNK,
     ActigraphySeries,
     DataValidationError,
     FourClassStage,
@@ -31,7 +32,12 @@ from sleepstager.ingest import (
     stages_to_indices,
 )
 
-from per_epoch_oracle import mask_epoch_actigraphy, mask_epoch_rr, row_loop_table
+from per_epoch_oracle import (
+    mask_epoch_actigraphy,
+    mask_epoch_rr,
+    row_loop_save_recording,
+    row_loop_table,
+)
 
 W, N1, N2, N3, REM = (
     SleepStage.W,
@@ -279,6 +285,14 @@ def _load_table(kind, path):
     return np.column_stack([s.t, s.xyz])
 
 
+# values whose shortest repr takes every form: signed zero, subnormals,
+# exponent and plain notation at the switch-over, non-finite values
+EDGE_VALUES = (
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-05, 0.0001, 1e16,
+    9999999999999998.0, 1.7976931348623157e308, float("nan"), float("inf"), float("-inf"),
+)
+
+
 class TestCsvParsers:
     """The numpy parser must agree bit for bit with the row-by-row parser."""
 
@@ -301,6 +315,17 @@ class TestCsvParsers:
             return
         got = _load_table(kind, path)
         assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+    def test_writer_rejects_unequal_columns(self, tmp_path):
+        rec = make_recording(n_epochs=2)
+        short = Recording(
+            subject_id="s01",
+            hr=HeartRateSeries(t=rec.hr.t, bpm=rec.hr.bpm[:-1]),
+            act=rec.act,
+            labels=rec.labels,
+        )
+        with pytest.raises(ValueError, match="times but"):
+            save_recording(short, str(tmp_path))
 
     def test_header_only_has_no_samples(self, tmp_path):
         path = tmp_path / "hr.csv"
@@ -333,6 +358,30 @@ class TestCsvParsers:
             assert load_labels_csv(paths["labels"]) == labels
         for got, expect in ((hr.t, t), (hr.bpm, bpm), (act.t, t), (act.xyz, xyz)):
             assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+    @settings(max_examples=40)
+    @given(
+        st.sampled_from((1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1)),
+        st.lists(st.floats(), max_size=30),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_writer_matches_row_loop_byte_for_byte(self, n, drawn, seed):
+        # every value comes from a pool of the edge values plus drawn floats,
+        # so tables of WRITE_CHUNK rows stay cheap to generate
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.array(EDGE_VALUES + tuple(drawn)), size=5 * n)
+        stages = list(SleepStage)
+        rec = Recording(
+            subject_id="r",
+            hr=HeartRateSeries(t=values[:n], bpm=values[n : 2 * n]),
+            act=ActigraphySeries(t=values[:n][::-1], xyz=values[2 * n :].reshape(n, 3)),
+            labels=tuple(stages[i] for i in rng.integers(len(stages), size=n)),
+        )
+        with tempfile.TemporaryDirectory() as new, tempfile.TemporaryDirectory() as old:
+            got, want = save_recording(rec, new), row_loop_save_recording(rec, old)
+            for key in ("hr", "act", "labels"):
+                with open(got[key], "rb") as a, open(want[key], "rb") as b:
+                    assert a.read() == b.read(), key
 
 
 class TestRecordingValidation:

@@ -7,6 +7,7 @@ from per_gate_oracle import network_probs as oracle_probs
 
 from sleepstager import network
 from sleepstager.network import (
+    MAX_LAYERS,
     LstmParams,
     MlpParams,
     NetSpec,
@@ -434,6 +435,10 @@ class TestSpecAndParams:
             NetSpec(input_dim=3, num_classes=5, layers=(("gru", 4),))
         with pytest.raises(ValueError):
             NetSpec(input_dim=3, num_classes=5, layers=())
+        with pytest.raises(ValueError, match="between 1 and 4"):
+            NetSpec(input_dim=3, num_classes=5, layers=(("lstm", 2),) * (MAX_LAYERS + 1))
+        with pytest.raises(ValueError, match="units"):
+            NetSpec(input_dim=3, num_classes=5, layers=(("lstm", 2), ("mlp", 0)))
 
     def test_predict_tie_break(self):
         probs = np.array([[0.1, 0.6, 0.1, 0.1, 0.1], [0.2, 0.2, 0.2, 0.2, 0.2]])
