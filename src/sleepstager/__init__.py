@@ -49,7 +49,6 @@ from .ingest import (
     class_names,
     epoch_actigraphy,
     epoch_rr,
-    hr_to_rr,
     impute_empty_rr,
     load_cohort,
     load_recording,
@@ -81,7 +80,7 @@ from .training import (
     init_params,
     train,
 )
-from .transforms import dct2, idct2, real_cepstrum
+from .transforms import dct2, real_cepstrum
 
 __version__ = "0.1.0"
 
@@ -119,8 +118,6 @@ __all__ = [
     "frame_indices",
     "generate_cohort",
     "gradient_check",
-    "hr_to_rr",
-    "idct2",
     "impute_empty_rr",
     "init_params",
     "kfold_split",

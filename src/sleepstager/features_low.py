@@ -77,12 +77,15 @@ def dct_block(rr_epochs: list[RrEpoch], n: int) -> np.ndarray:
     (energy compaction pushes signal into the leading bins). Each epoch's
     coefficient vector is zero-padded to n when it holds fewer than n
     samples, then first and second adjacent differences are appended: one
-    row of n + (n-1) + (n-2) values per epoch.
+    row of n + (n-1) + (n-2) values per epoch. Epochs with the same number
+    of intervals are transformed together.
     """
     d = np.zeros((len(rr_epochs), n))
-    for k, epoch in enumerate(rr_epochs):
-        coeffs = dct2(epoch.rr)[:n]
-        d[k, : coeffs.size] = coeffs
+    lengths = np.array([e.rr.size for e in rr_epochs], dtype=np.int64)
+    for m in np.unique(lengths):
+        group = np.flatnonzero(lengths == m)
+        take = min(n, m)
+        d[group, :take] = dct2(np.stack([rr_epochs[k].rr for k in group]))[:, :take]
     return np.concatenate([d, np.diff(d, axis=1), np.diff(d, n=2, axis=1)], axis=1)
 
 
@@ -109,8 +112,7 @@ def cepstrum_block(act_epochs: list[np.ndarray], cepstrum_components: int) -> np
         for start in range(0, group.size, CEPSTRUM_CHUNK):
             ks = group[start : start + CEPSTRUM_CHUNK]
             samples = np.stack([act_epochs[k] for k in ks])  # (b, m, 3)
-            ceps = real_cepstrum(np.diff(samples, axis=1).transpose(0, 2, 1))
-            out[ks, :, :take] = ceps[:, :, :take]
+            out[ks, :, :take] = real_cepstrum(np.diff(samples, axis=1).transpose(0, 2, 1), take)
     return out.reshape(len(act_epochs), 3 * c)
 
 

@@ -151,16 +151,6 @@ class RrEpoch:
         return self.rr.size == 0
 
 
-def hr_to_rr(hr: float) -> float:
-    """Convert an instantaneous heart rate (beats/minute) to an RR interval (s).
-
-    The interval between beats at ``hr`` beats per minute is ``60 / hr``.
-    """
-    if hr <= 0:
-        raise DataValidationError(f"non-positive heart rate: {hr}")
-    return 60.0 / hr
-
-
 def _split_epochs(values: np.ndarray, t: np.ndarray, rec: Recording) -> list[np.ndarray]:
     """Rows of ``values`` (one per time in ``t``) bucketed into the recording's epochs.
 

@@ -351,12 +351,6 @@ def _forward(net: Network, Xs: list[np.ndarray], traces: list | None = None):
     return e / e.sum(axis=2, keepdims=True), rev
 
 
-def layer_forward(layer: Layer, inputs: np.ndarray) -> np.ndarray:
-    """Outputs of one layer over a sequence, shape (T, layer output dim)."""
-    X = _checked(inputs, (layer.mlp.W if layer.kind == "mlp" else layer.fwd.W_xi).shape[1])
-    return _layer_forward_trace(layer, X[:, None], _reversal([len(X)])).outputs[:, 0]
-
-
 def network_forward(net: Network, features: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """Class probabilities for a whole sequence plus the backward-pass trace."""
     traces: list[LayerTrace] = []
@@ -423,14 +417,17 @@ def _loss_backward(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.where((P > LOSS_EPS) & (P < 1.0 - LOSS_EPS), dP, 0.0)
 
 
-def _layer_backward(layer: Layer, trace: LayerTrace, dOut: np.ndarray, rev: np.ndarray):
-    """Gradient of one layer: returns (dInputs, the layer's flat gradient block)."""
+def _layer_backward(
+    layer: Layer, trace: LayerTrace, dOut: np.ndarray, rev: np.ndarray, input_grad: bool
+):
+    """Gradient of one layer: returns (dInputs, the layer's flat gradient block);
+    dInputs is None unless ``input_grad``, as the first layer's is never used."""
     if layer.kind == "mlp":
         dA = dOut * (1.0 - trace.outputs**2)
         T, B, H = dA.shape
         dA2 = dA.reshape(T * B, H)
         grad = np.concatenate([(dA2.T @ trace.inputs.reshape(T * B, -1)).ravel(), dA2.sum(axis=0)])
-        return (dA2 @ layer.mlp.W).reshape(T, B, -1), grad
+        return (dA2 @ layer.mlp.W).reshape(T, B, -1) if input_grad else None, grad
     Wx, Wh, wc, _ = layer.operands()
     K, H = Wh.shape[0], Wh.shape[2]
     T, B, D = trace.inputs.shape
@@ -438,7 +435,7 @@ def _layer_backward(layer: Layer, trace: LayerTrace, dOut: np.ndarray, rev: np.n
     dA, grad = _scan_backward(trace.cache, Wh, wc, dHs)
     dA_in = np.stack([_oriented(dA[:, k], rev, k).reshape(T * B, 4 * H) for k in range(K)])
     dWx = np.matmul(dA_in.transpose(0, 2, 1), trace.inputs.reshape(T * B, D))
-    dP = np.matmul(dA_in, Wx).sum(axis=0).reshape(T, B, D)
+    dP = np.matmul(dA_in, Wx).sum(axis=0).reshape(T, B, D) if input_grad else None
     return dP, np.concatenate([dWx.reshape(K, -1), grad], axis=1).ravel()
 
 
@@ -458,8 +455,8 @@ def network_backward(net: Network, trace: ForwardTrace, labels: np.ndarray) -> P
     dZ = P * (dP - (dP * P).sum(axis=1, keepdims=True))
     blocks = [(dZ.T @ trace.layers[-1].outputs[:, 0]).ravel(), dZ.sum(axis=0)]
     dH = (dZ @ net.out_W)[:, None]
-    for layer, layer_trace in zip(reversed(net.layers), reversed(trace.layers)):
-        dH, grad = _layer_backward(layer, layer_trace, dH, trace.rev)
+    for k in range(len(net.layers) - 1, -1, -1):
+        dH, grad = _layer_backward(net.layers[k], trace.layers[k], dH, trace.rev, input_grad=k > 0)
         blocks.insert(0, grad)
     return ParamViews(net.spec, np.concatenate(blocks))
 

@@ -134,14 +134,3 @@ def generate_cohort(cfg: SynthConfig) -> list[Recording]:
         _generate_one(cfg, np.random.Generator(np.random.Philox(children[i])), f"s{i:0{width}d}")
         for i in range(cfg.n_recordings)
     ]
-
-
-def stationary_distribution(transition: np.ndarray, iters: int = 10_000) -> np.ndarray:
-    """Long-run stage frequencies of the chain, by repeated application."""
-    p = np.full(5, 0.2)
-    for _ in range(iters):
-        nxt = p @ transition
-        if np.max(np.abs(nxt - p)) < 1e-15:
-            return nxt
-        p = nxt
-    return p

@@ -15,6 +15,7 @@ bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "init_std", "weight_noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if self.init_std <= 0:
@@ -62,8 +66,8 @@ def init_params(spec: NetSpec, seed: int, init_std: float = 0.1) -> Network:
     Draws come from one Philox stream in canonical parameter order, so the
     same seed always produces the same network.
     """
-    if init_std <= 0:
-        raise ValueError("init_std must be > 0")
+    if not 0 < init_std < math.inf:
+        raise ValueError(f"init_std must be finite and > 0, got {init_std}")
     rng = np.random.Generator(np.random.Philox(seed))
     net = Network.zeros(spec)
     net.flat[:] = rng.normal(0.0, init_std, size=net.flat.size)

@@ -16,8 +16,15 @@ from sleepstager.ingest import DataValidationError, Recording, RrEpoch, _fmt, im
 from sleepstager.transforms import dct2, real_cepstrum
 
 
+def hr_to_rr(hr: float) -> float:
+    """RR interval (s) between beats at ``hr`` beats per minute: 60 / hr."""
+    if hr <= 0:
+        raise DataValidationError(f"non-positive heart rate: {hr}")
+    return 60.0 / hr
+
+
 def mask_epoch_rr(rec: Recording) -> list[RrEpoch]:
-    rr = 60.0 / rec.hr.bpm
+    rr = np.array([hr_to_rr(hr) for hr in rec.hr.bpm.tolist()])
     idx = np.floor(rec.hr.t / rec.epoch_seconds).astype(np.int64)
     return [RrEpoch(rr=rr[idx == k]) for k in range(rec.num_epochs)]
 
@@ -43,11 +50,10 @@ def actigraphy_features(samples: np.ndarray, cepstrum_components: int) -> np.nda
     if samples.shape[0] < 2:
         raise ValueError("actigraphy epoch needs at least 2 samples")
     blocks = []
+    take = min(cepstrum_components, samples.shape[0] - 1)
     for axis in range(3):
-        ceps = real_cepstrum(np.diff(samples[:, axis]))
         block = np.zeros(cepstrum_components)
-        take = min(cepstrum_components, ceps.size)
-        block[:take] = ceps[:take]
+        block[:take] = real_cepstrum(np.diff(samples[:, axis]), take)
         blocks.append(block)
     return np.concatenate(blocks)
 

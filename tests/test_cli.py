@@ -231,6 +231,19 @@ def test_config_errors_exit_1(cohort_dir, tmp_path, capsys):
                      "--config", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "setting",
+    ["weight_noise_std=nan", "learning_rate=inf", "learning_rate=nan", "init_std=inf"],
+)
+def test_non_finite_training_values_are_config_errors(cohort_dir, tmp_path, capsys, setting):
+    # nan noise used to train silently without noise; the others ended as a "stale trace"
+    argv = ["train", cohort_dir, str(tmp_path / "m.bin")] + FAST + ["--set", setting]
+    assert cli.main(argv) == 1
+    key = setting.split("=")[0]
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_data_errors_exit_2(tmp_path):
     empty = str(tmp_path / "empty")
     os.makedirs(empty)

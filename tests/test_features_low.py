@@ -72,13 +72,17 @@ class TestFrameIndices:
         np.testing.assert_array_equal(frame_indices(0, 960, 10), np.arange(0, 10))
         np.testing.assert_array_equal(frame_indices(959, 960, 10), np.arange(950, 960))
 
-    def test_properties_hold_everywhere(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            frame = int(rng.integers(1, 12))
-            total = int(rng.integers(frame, frame + 50))
-            t = int(rng.integers(0, total))
-            idx = frame_indices(t, total, frame)
+    @given(st.data())
+    def test_properties_hold_everywhere(self, data):
+        # in-range, contiguous frames of frame_epochs epochs that contain t,
+        # for one epoch index and for an array of them
+        total = data.draw(st.integers(1, 2000), label="total")
+        frame = data.draw(st.integers(1, total), label="frame")
+        ts = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=8), label="t")
+        frames = frame_indices(np.array(ts), total, frame)
+        assert frames.shape == (len(ts), frame)
+        for t, idx in zip(ts, frames):
+            np.testing.assert_array_equal(idx, frame_indices(t, total, frame))
             assert idx.size == frame
             assert np.all(np.diff(idx) == 1)
             assert idx[0] >= 0 and idx[-1] < total
@@ -142,7 +146,7 @@ class TestActigraphy:
         samples = rng.standard_normal((100, 3))
         out = cepstrum_block([samples], 30)[0]
         for axis in range(3):
-            expect = real_cepstrum(np.diff(samples[:, axis]))[:30]
+            expect = real_cepstrum(np.diff(samples[:, axis]), 30)
             np.testing.assert_allclose(out[axis * 30 : (axis + 1) * 30], expect)
 
     def test_still_epoch_identical_axes(self):

@@ -19,7 +19,6 @@ from sleepstager.ingest import (
     discover_cohort,
     epoch_actigraphy,
     epoch_rr,
-    hr_to_rr,
     impute_empty_rr,
     load_actigraphy_csv,
     load_cohort,
@@ -33,6 +32,7 @@ from sleepstager.ingest import (
 )
 
 from per_epoch_oracle import (
+    hr_to_rr,
     mask_epoch_actigraphy,
     mask_epoch_rr,
     row_loop_save_recording,

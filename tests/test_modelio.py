@@ -1,10 +1,15 @@
 """Round-trip and corruption tests for the binary model format."""
 
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sleepstager.features_low import FrameConfig
 from sleepstager.features_mid import kmeans_fit, zscore_fit
@@ -79,6 +84,22 @@ def test_save_load_save_byte_identical(tmp_path):
         raw2 = fh.read()
     assert raw1 == raw2
     assert raw1[:8] == MODEL_MAGIC
+
+
+@given(st.data())
+def test_flat_parameters_round_trip_byte_for_byte(data):
+    kinds = st.sampled_from(["mlp", "lstm", "blstm"])
+    layers = tuple(data.draw(st.lists(st.tuples(kinds, st.integers(1, 4)), min_size=1, max_size=3)))
+    model = tiny_model(seed=data.draw(st.integers(0, 99)), layers=layers,
+                       num_classes=data.draw(st.sampled_from([4, 5])))
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324])
+    model.net.flat[:] = data.draw(arrays(np.float64, model.net.flat.size, elements=values))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.slpnet")
+        save_model(model, path)
+        back = load_model(path)
+    assert back.net.spec == model.net.spec
+    assert back.net.flat.tobytes() == model.net.flat.tobytes()
 
 
 def test_reloaded_model_predicts_identically(tmp_path):

@@ -14,7 +14,6 @@ from sleepstager.network import (
     Network,
     ParamViews,
     is_bias,
-    layer_forward,
     loss,
     network_backward,
     network_forward,
@@ -48,6 +47,12 @@ def make_layer(kind, fwd=None, bwd=None, mlp=None):
         for view, array in zip(views or (), arrays or ()):
             view[...] = array
     return layer
+
+
+def layer_forward(layer, inputs):
+    """Outputs of one layer over one checked sequence, shape (T, layer output dim)."""
+    X = network._checked(inputs, (layer.mlp.W if layer.kind == "mlp" else layer.fwd.W_xi).shape[1])
+    return network._layer_forward_trace(layer, X[:, None], network._reversal([len(X)])).outputs[:, 0]
 
 
 def zero_lstm_params(d, h):

@@ -7,7 +7,6 @@ from sleepstager.synth import (
     SynthConfig,
     context_only_config,
     generate_cohort,
-    stationary_distribution,
 )
 
 
@@ -18,6 +17,17 @@ def power_iteration_oracle(transition):
         m = m @ m
         m /= m.sum(axis=1, keepdims=True)
     return m[0]
+
+
+def stationary_distribution(transition: np.ndarray, iters: int = 10_000) -> np.ndarray:
+    """Long-run stage frequencies of the chain, by repeated application."""
+    p = np.full(5, 0.2)
+    for _ in range(iters):
+        nxt = p @ transition
+        if np.max(np.abs(nxt - p)) < 1e-15:
+            return nxt
+        p = nxt
+    return p
 
 
 class TestConfigValidation:

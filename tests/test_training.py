@@ -53,6 +53,10 @@ class TestConfig:
             TrainConfig(patience=0)
         with pytest.raises(ValueError):
             TrainConfig(max_passes=0)
+        for name in ("learning_rate", "init_std", "weight_noise_std"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    TrainConfig(**{name: value})
 
 
 class TestInit:
@@ -80,6 +84,9 @@ class TestInit:
     def test_bad_std_rejected(self):
         with pytest.raises(ValueError):
             init_params(NetSpec(input_dim=2, num_classes=4), seed=0, init_std=0.0)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="init_std must be finite"):
+                init_params(NetSpec(input_dim=2, num_classes=4), seed=0, init_std=value)
 
 
 class TestGradientCheck:
