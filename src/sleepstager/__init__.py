@@ -10,142 +10,29 @@ weight noise. Evaluation is subject-independent cross-validation with
 frequency-weighted precision, recall, and F1. Everything is deterministic
 given the seeds; a synthetic cohort generator provides self-contained
 test data.
+
+The package root exports the names README's "Library use" section
+imports; everything else is imported from its module.
 """
 
-from .config import ConfigError, RunConfig, load_config
-from .evaluate import (
-    CvReport,
-    FoldResult,
-    confusion_matrix,
-    cross_validate,
-    fit_model,
-    kfold_split,
-    per_class_metrics,
-    summary_document,
-    weighted_metrics,
-    write_cv_csv,
-    write_cv_summary,
-)
-from .features_low import (
-    FrameConfig,
-    frame_indices,
-    recording_low_features,
-)
-from .features_mid import (
-    Dictionary,
-    NormStats,
-    assemble_final,
-    bow_encode,
-    kmeans_fit,
-    zscore_apply,
-    zscore_fit,
-)
-from .ingest import (
-    ActigraphySeries,
-    DataValidationError,
-    HeartRateSeries,
-    Recording,
-    SleepStage,
-    class_names,
-    epoch_actigraphy,
-    epoch_rr,
-    impute_empty_rr,
-    load_cohort,
-    load_recording,
-    map_to_four_class,
-    merge_scorer_labels,
-    save_recording,
-    stages_to_indices,
-)
-from .modelio import load_dictionary, load_model, save_dictionary, save_model
-from .network import (
-    NetSpec,
-    Network,
-    loss,
-    network_backward,
-    network_forward,
-    predict_stages,
-)
-from .pipeline import (
-    FittedModel,
-    FittedPipeline,
-    fit_pipeline,
-    make_sequences,
-)
-from .synth import SynthConfig, context_only_config, generate_cohort
-from .training import (
-    TrainConfig,
-    finite_difference_gradients,
-    gradient_check,
-    init_params,
-    train,
-)
-from .transforms import dct2, real_cepstrum
+from .evaluate import cross_validate, fit_model
+from .features_low import FrameConfig, recording_low_features
+from .ingest import stages_to_indices
+from .modelio import load_model, save_model
+from .synth import SynthConfig, generate_cohort
+from .training import TrainConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActigraphySeries",
-    "ConfigError",
-    "CvReport",
-    "DataValidationError",
-    "Dictionary",
-    "FittedModel",
-    "FittedPipeline",
-    "FoldResult",
     "FrameConfig",
-    "HeartRateSeries",
-    "NetSpec",
-    "Network",
-    "NormStats",
-    "Recording",
-    "RunConfig",
-    "SleepStage",
     "SynthConfig",
     "TrainConfig",
-    "assemble_final",
-    "bow_encode",
-    "class_names",
-    "confusion_matrix",
-    "context_only_config",
     "cross_validate",
-    "dct2",
-    "epoch_actigraphy",
-    "epoch_rr",
-    "finite_difference_gradients",
     "fit_model",
-    "fit_pipeline",
-    "frame_indices",
     "generate_cohort",
-    "gradient_check",
-    "impute_empty_rr",
-    "init_params",
-    "kfold_split",
-    "kmeans_fit",
-    "load_cohort",
-    "load_config",
-    "load_dictionary",
     "load_model",
-    "load_recording",
-    "loss",
-    "make_sequences",
-    "map_to_four_class",
-    "merge_scorer_labels",
-    "network_backward",
-    "network_forward",
-    "per_class_metrics",
-    "predict_stages",
-    "real_cepstrum",
     "recording_low_features",
-    "save_dictionary",
     "save_model",
-    "save_recording",
     "stages_to_indices",
-    "summary_document",
-    "train",
-    "weighted_metrics",
-    "write_cv_csv",
-    "write_cv_summary",
-    "zscore_apply",
-    "zscore_fit",
 ]

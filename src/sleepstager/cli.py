@@ -40,6 +40,7 @@ from .features_mid import kmeans_fit
 from .ingest import DataValidationError, _fmt, load_cohort, save_recording, stages_to_indices
 from .modelio import load_model, save_dictionary, save_model
 from .network import LAYER_KINDS, NetSpec, network_forward, predict_stages
+from .pipeline import check_num_words
 from .synth import SynthConfig, context_only_config, generate_cohort
 from .training import gradient_check
 
@@ -123,6 +124,7 @@ def cmd_fit_dict(args) -> int:
     frame = cfg.frame()
     recs = load_cohort(args.data)
     stacked = np.concatenate([recording_low_features(r, frame) for r in recs], axis=0)
+    check_num_words(cfg.num_words, len(stacked))
     d = kmeans_fit(stacked, cfg.num_words, seed=cfg.seed)
     _require_finite(d.objective, "clustering objective")
     save_dictionary(d, args.out)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import MIN_EPOCH_ACTIGRAPHY, DataValidationError, Recording, RrEpoch
+from .ingest import MIN_EPOCH_ACTIGRAPHY, DataValidationError, Recording
 from .ingest import epoch_actigraphy, epoch_rr, impute_empty_rr
 from .transforms import dct2, real_cepstrum
 
@@ -70,7 +70,7 @@ def frame_indices(t, total: int, frame_epochs: int) -> np.ndarray:
     return start[..., None] + np.arange(frame_epochs)
 
 
-def dct_block(rr_epochs: list[RrEpoch], n: int) -> np.ndarray:
+def dct_block(rr_epochs: list[np.ndarray], n: int) -> np.ndarray:
     """Leading DCT coefficients of each epoch's RR sequence plus differences.
 
     The first n coefficients capture the slow trend of the interval series
@@ -81,11 +81,11 @@ def dct_block(rr_epochs: list[RrEpoch], n: int) -> np.ndarray:
     of intervals are transformed together.
     """
     d = np.zeros((len(rr_epochs), n))
-    lengths = np.array([e.rr.size for e in rr_epochs], dtype=np.int64)
+    lengths = np.array([rr.size for rr in rr_epochs], dtype=np.int64)
     for m in np.unique(lengths):
         group = np.flatnonzero(lengths == m)
         take = min(n, m)
-        d[group, :take] = dct2(np.stack([rr_epochs[k].rr for k in group]))[:, :take]
+        d[group, :take] = dct2(np.stack([rr_epochs[k] for k in group]))[:, :take]
     return np.concatenate([d, np.diff(d, axis=1), np.diff(d, n=2, axis=1)], axis=1)
 
 
@@ -132,7 +132,7 @@ def recording_low_features(rec: Recording, cfg: FrameConfig) -> np.ndarray:
     rr_epochs = impute_empty_rr(epoch_rr(rec))
     act_epochs = epoch_actigraphy(rec)
     frames = frame_indices(np.arange(n), n, cfg.frame_epochs)
-    mean_rr = np.array([np.mean(e.rr) for e in rr_epochs])
+    mean_rr = np.array([np.mean(rr) for rr in rr_epochs])
     freq = dct_block(rr_epochs, cfg.freq_components)
     ceps = cepstrum_block(act_epochs, cfg.cepstrum_components)
     return np.concatenate([mean_rr[frames], freq[frames].reshape(n, -1), ceps], axis=1)

@@ -56,7 +56,8 @@ def _squared_distances(
     """
     if sample_norms is None:
         sample_norms = _squared_norms(samples)
-    sq = sample_norms[:, None] + _squared_norms(centers)[None, :] - 2.0 * samples @ centers.T
+    # doubling the (K, d) centers, not the (n, d) samples: exact, so the same bits
+    sq = sample_norms[:, None] + _squared_norms(centers)[None, :] - samples @ (2.0 * centers).T
     return np.maximum(sq, 0.0)
 
 

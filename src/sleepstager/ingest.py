@@ -21,7 +21,7 @@ import csv
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -135,22 +135,6 @@ class Recording:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class RrEpoch:
-    """RR intervals (seconds) of the heart rate samples inside one epoch.
-
-    ``rr`` may be empty when the band dropped out for a whole epoch; such
-    epochs are flagged by ``is_empty`` and filled by ``impute_empty_rr``
-    before feature extraction.
-    """
-
-    rr: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.rr.size == 0
-
-
 def _split_epochs(values: np.ndarray, t: np.ndarray, rec: Recording) -> list[np.ndarray]:
     """Rows of ``values`` (one per time in ``t``) bucketed into the recording's epochs.
 
@@ -165,14 +149,14 @@ def _split_epochs(values: np.ndarray, t: np.ndarray, rec: Recording) -> list[np.
     return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def epoch_rr(rec: Recording) -> list[RrEpoch]:
-    """Bucket heart rate samples into per-epoch RR interval lists.
+def epoch_rr(rec: Recording) -> list[np.ndarray]:
+    """Bucket heart rate samples into per-epoch RR interval arrays (seconds).
 
     Epoch windows are half-open [k*e, (k+1)*e), so every in-span sample
-    lands in exactly one epoch. Epochs with no samples come back empty and
-    flagged.
+    lands in exactly one epoch. An epoch the band dropped out for comes
+    back empty; ``impute_empty_rr`` fills it before feature extraction.
     """
-    return [RrEpoch(rr=rr) for rr in _split_epochs(60.0 / rec.hr.bpm, rec.hr.t, rec)]
+    return _split_epochs(60.0 / rec.hr.bpm, rec.hr.t, rec)
 
 
 def epoch_actigraphy(rec: Recording) -> list[np.ndarray]:
@@ -183,26 +167,20 @@ def epoch_actigraphy(rec: Recording) -> list[np.ndarray]:
     return _split_epochs(rec.act.xyz, rec.act.t, rec)
 
 
-def impute_empty_rr(epochs: list[RrEpoch]) -> list[RrEpoch]:
-    """Fill empty epochs with a copy of the nearest non-empty epoch's RR list.
+def impute_empty_rr(epochs: list[np.ndarray]) -> list[np.ndarray]:
+    """Fill empty epochs with a copy of the nearest non-empty epoch's RR array.
 
     Ties in distance break toward the earlier epoch. Raises if every epoch
     is empty (nothing to copy from).
     """
-    non_empty = [k for k, e in enumerate(epochs) if not e.is_empty]
+    non_empty = [k for k, rr in enumerate(epochs) if rr.size]
     if not non_empty:
         raise DataValidationError("all epochs are empty; cannot impute RR intervals")
-    if len(non_empty) == len(epochs):
-        return list(epochs)
     positions = np.array(non_empty)
-    out = []
-    for k, e in enumerate(epochs):
-        if e.is_empty:
-            nearest = positions[np.argmin(np.abs(positions - k))]
-            out.append(RrEpoch(rr=epochs[nearest].rr.copy()))
-        else:
-            out.append(e)
-    return out
+    return [
+        rr if rr.size else epochs[positions[np.argmin(np.abs(positions - k))]].copy()
+        for k, rr in enumerate(epochs)
+    ]
 
 
 def merge_scorer_labels(hypnograms: list[list[SleepStage]]) -> list[SleepStage]:

@@ -95,7 +95,7 @@ def save_model(model: FittedModel, path: str) -> None:
         ["norm.std", list(stats.std.shape)],
     ]
     arrays.append(model.net.flat)
-    array_meta += [[f"net.{name}", list(arr.shape)] for name, arr in model.net.named_params()]
+    array_meta += [[f"net.{name}", list(arr.shape)] for name, arr in model.net.params.items()]
     header = {
         "version": FORMAT_VERSION,
         "num_classes": model.num_classes,
@@ -136,6 +136,9 @@ def load_model(path: str) -> FittedModel:
         )
         array_meta = header["arrays"]
         low_dim, num_words, final_dim = header["low_dim"], header["num_words"], header["final_dim"]
+        sizes = [*vars(frame).values(), spec.num_classes, low_dim, num_words, final_dim]
+        if not all(type(n) is int for n in sizes + [h for _, h in spec.layers]):
+            raise TypeError("sizes must be integers")
         dict_meta = (
             header["dict_iterations"],
             header["dict_objective"],
@@ -147,7 +150,7 @@ def load_model(path: str) -> FittedModel:
     loaded = _arrays(body, array_meta, path)
     net = Network.zeros(spec)
     required = ["dictionary.centers", "norm.mean", "norm.std"]
-    for key in required + [f"net.{name}" for name, _ in net.named_params()]:
+    for key in required + [f"net.{name}" for name in net.params]:
         if key not in loaded:
             raise DataValidationError(f"{path}: missing array {key}")
     centers, mean, std = (loaded[key] for key in required)
@@ -160,7 +163,7 @@ def load_model(path: str) -> FittedModel:
             f"low_dim {low_dim}, frame dim {frame.dim}, final_dim {final_dim}, "
             f"norm.mean {mean.shape}, norm.std {std.shape}"
         )
-    for name, arr in net.named_params():
+    for name, arr in net.params.items():
         if loaded[f"net.{name}"].shape != arr.shape:
             raise DataValidationError(f"{path}: shape mismatch for net.{name}")
         arr[:] = loaded[f"net.{name}"]

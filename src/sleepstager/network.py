@@ -40,14 +40,6 @@ LSTM_FIELDS = (
 )
 
 
-# One direction's cell parameters, views into the network's flat vector:
-# input maps (hidden, input), recurrent maps (hidden, hidden), elementwise
-# peepholes and biases (hidden,).
-LstmParams = namedtuple("LstmParams", LSTM_FIELDS)
-# Per-timestep affine map plus tanh; no recurrence.
-MlpParams = namedtuple("MlpParams", ("W", "b"))
-
-
 def _lstm_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
     maps = {"W_x": (hidden, input_dim), "W_h": (hidden, hidden)}
     return {name: maps.get(name[:3], (hidden,)) for name in LSTM_FIELDS}
@@ -139,21 +131,23 @@ class ParamViews(dict):
 
 @dataclass
 class Layer:
-    """One stack level of a network; which param fields are set depends on
-    ``kind``. ``block`` is the layer's contiguous slice of the network's flat
-    vector, and every param field is a view into it."""
+    """One stack level of a network: ``kind``, ``hidden`` units over ``inputs``
+    values per step, and ``block``, its contiguous slice of the network's
+    flat vector."""
 
     kind: str
+    hidden: int
+    inputs: int
     block: np.ndarray
-    fwd: LstmParams | None = None
-    bwd: LstmParams | None = None
-    mlp: MlpParams | None = None
 
     def operands(self):
-        """Fused gate-major operands of the K directions, views of ``block``:
-        (K, 4H, D), (K, 4H, H), (K, 3, H) peepholes and (K, 4H) biases."""
-        H, D = self.fwd.W_xi.shape
-        L = self.block.reshape(1 if self.bwd is None else 2, -1)
+        """Views of ``block``: an MLP's (W, b), else the fused gate-major operands
+        of the K directions, (K, 4H, D), (K, 4H, H), (K, 3, H) peepholes and
+        (K, 4H) biases."""
+        H, D = self.hidden, self.inputs
+        if self.kind == "mlp":
+            return self.block[: H * D].reshape(H, D), self.block[H * D :]
+        L = self.block.reshape(2 if self.kind == "blstm" else 1, -1)
         Wx, Wh, wc, b = np.split(L, np.cumsum([4 * H * D, 4 * H * H, 3 * H]), axis=1)
         return Wx.reshape(-1, 4 * H, D), Wh.reshape(-1, 4 * H, H), wc.reshape(-1, 3, H), b
 
@@ -161,8 +155,8 @@ class Layer:
 class Network:
     """Layer stack plus softmax head. Mutated only by the training loop.
 
-    ``flat`` holds every parameter; the layer fields, ``out_W`` and
-    ``out_b`` are views into it.
+    ``flat`` holds every parameter; ``params`` maps each name of
+    ``spec.param_shapes()`` to its view, and each layer's ``block`` is a view.
     """
 
     def __init__(self, spec: NetSpec, flat: np.ndarray):
@@ -171,30 +165,15 @@ class Network:
         self.params = ParamViews(spec, flat)
         self.layers: list[Layer] = []
         start = 0
-        for k, (kind, _) in enumerate(spec.layers):
-            prefix = f"layer{k}."
-            views = {n[len(prefix) :]: a for n, a in self.params.items() if n.startswith(prefix)}
-            size = sum(a.size for a in views.values())
-            layer = Layer(kind, flat[start : start + size])
+        for k, ((kind, hidden), (d_in, _)) in enumerate(zip(spec.layers, spec.layer_io_dims())):
+            size = sum(a.size for n, a in self.params.items() if n.startswith(f"layer{k}."))
+            self.layers.append(Layer(kind, hidden, d_in, flat[start : start + size]))
             start += size
-            if kind == "mlp":
-                layer.mlp = MlpParams(views["mlp.W"], views["mlp.b"])
-            else:
-                layer.fwd = LstmParams(*(views[f"fwd.{f}"] for f in LSTM_FIELDS))
-                if kind == "blstm":
-                    layer.bwd = LstmParams(*(views[f"bwd.{f}"] for f in LSTM_FIELDS))
-            self.layers.append(layer)
-        self.out_W = self.params["out.W"]
-        self.out_b = self.params["out.b"]
 
     @classmethod
     def zeros(cls, spec: NetSpec) -> "Network":
         """All-zero parameters with the spec's shapes."""
         return cls(spec, np.zeros(sum(math.prod(s) for _, s in spec.param_shapes())))
-
-    def named_params(self) -> list[tuple[str, np.ndarray]]:
-        """Live views of every parameter array, canonical order."""
-        return list(self.params.items())
 
     def weight_mask(self) -> np.ndarray:
         """True at every coordinate of ``flat`` that is not a bias."""
@@ -308,7 +287,7 @@ ForwardTrace = namedtuple("ForwardTrace", ("layers", "probs", "rev", "params"))
 
 def _layer_forward_trace(layer: Layer, P: np.ndarray, rev: np.ndarray) -> LayerTrace:
     if layer.kind == "mlp":
-        return LayerTrace(inputs=P, outputs=np.tanh(_affine(P, layer.mlp.W, layer.mlp.b)))
+        return LayerTrace(inputs=P, outputs=np.tanh(_affine(P, *layer.operands())))
     Wx, Wh, wc, b = layer.operands()
     K = Wx.shape[0]
     # input projections are per step, so each direction's can be taken in
@@ -346,7 +325,7 @@ def _forward(net: Network, Xs: list[np.ndarray], traces: list | None = None):
         if traces is not None:
             traces.append(trace)
         P, trace = trace.outputs, None
-    logits = _affine(P, net.out_W, net.out_b)
+    logits = _affine(P, net.params["out.W"], net.params["out.b"])
     e = np.exp(logits - logits.max(axis=2, keepdims=True))
     return e / e.sum(axis=2, keepdims=True), rev
 
@@ -427,7 +406,7 @@ def _layer_backward(
         T, B, H = dA.shape
         dA2 = dA.reshape(T * B, H)
         grad = np.concatenate([(dA2.T @ trace.inputs.reshape(T * B, -1)).ravel(), dA2.sum(axis=0)])
-        return (dA2 @ layer.mlp.W).reshape(T, B, -1) if input_grad else None, grad
+        return (dA2 @ layer.operands()[0]).reshape(T, B, -1) if input_grad else None, grad
     Wx, Wh, wc, _ = layer.operands()
     K, H = Wh.shape[0], Wh.shape[2]
     T, B, D = trace.inputs.shape
@@ -440,7 +419,7 @@ def _layer_backward(
 
 
 def network_backward(net: Network, trace: ForwardTrace, labels: np.ndarray) -> ParamViews:
-    """Exact gradients of the loss for every parameter, keyed like named_params.
+    """Exact gradients of the loss for every parameter, keyed like ``net.params``.
 
     The values are views into one vector (``.flat``) laid out like the
     network's. Rejects a trace whose parameter copy no longer equals the
@@ -454,7 +433,7 @@ def network_backward(net: Network, trace: ForwardTrace, labels: np.ndarray) -> P
     # softmax jacobian: dz = p * (dp - <dp, p>)
     dZ = P * (dP - (dP * P).sum(axis=1, keepdims=True))
     blocks = [(dZ.T @ trace.layers[-1].outputs[:, 0]).ravel(), dZ.sum(axis=0)]
-    dH = (dZ @ net.out_W)[:, None]
+    dH = (dZ @ net.params["out.W"])[:, None]
     for k in range(len(net.layers) - 1, -1, -1):
         dH, grad = _layer_backward(net.layers[k], trace.layers[k], dH, trace.rev, input_grad=k > 0)
         blocks.insert(0, grad)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .features_low import FrameConfig, recording_low_features
 from .features_mid import (
     Dictionary,
@@ -43,6 +44,12 @@ class FittedPipeline:
         return self.stats.mean.shape[0]
 
 
+def check_num_words(num_words: int, epochs: int) -> None:
+    """A codebook of ``num_words`` words is fitted to at least as many epochs."""
+    if num_words > epochs:
+        raise ConfigError(f"num_words={num_words} exceeds the training split's {epochs} epochs")
+
+
 def fit_pipeline(train_lows: list[np.ndarray], num_words: int, seed: int) -> FittedPipeline:
     """Fit dictionary and normalization from training recordings' low features.
 
@@ -52,6 +59,7 @@ def fit_pipeline(train_lows: list[np.ndarray], num_words: int, seed: int) -> Fit
     if not train_lows:
         raise ValueError("need at least one training recording")
     stacked = np.concatenate(train_lows, axis=0)
+    check_num_words(num_words, len(stacked))
     dictionary = kmeans_fit(stacked, num_words, seed=seed)
     final = assemble_final(stacked, bow_encode(stacked, dictionary))
     stats = zscore_fit(final)

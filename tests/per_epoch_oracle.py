@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from sleepstager.features_low import FrameConfig
-from sleepstager.ingest import DataValidationError, Recording, RrEpoch, _fmt, impute_empty_rr
+from sleepstager.ingest import DataValidationError, Recording, _fmt, impute_empty_rr
 from sleepstager.transforms import dct2, real_cepstrum
 
 
@@ -23,10 +23,10 @@ def hr_to_rr(hr: float) -> float:
     return 60.0 / hr
 
 
-def mask_epoch_rr(rec: Recording) -> list[RrEpoch]:
+def mask_epoch_rr(rec: Recording) -> list[np.ndarray]:
     rr = np.array([hr_to_rr(hr) for hr in rec.hr.bpm.tolist()])
     idx = np.floor(rec.hr.t / rec.epoch_seconds).astype(np.int64)
-    return [RrEpoch(rr=rr[idx == k]) for k in range(rec.num_epochs)]
+    return [rr[idx == k] for k in range(rec.num_epochs)]
 
 
 def mask_epoch_actigraphy(rec: Recording) -> list[np.ndarray]:
@@ -34,12 +34,12 @@ def mask_epoch_actigraphy(rec: Recording) -> list[np.ndarray]:
     return [rec.act.xyz[idx == k] for k in range(rec.num_epochs)]
 
 
-def mean_rr_features(frame: list[RrEpoch]) -> np.ndarray:
-    return np.array([float(np.mean(e.rr)) for e in frame])
+def mean_rr_features(frame: list[np.ndarray]) -> np.ndarray:
+    return np.array([float(np.mean(rr)) for rr in frame])
 
 
-def dominant_freq_features(epoch: RrEpoch, n: int) -> np.ndarray:
-    coeffs = dct2(epoch.rr)
+def dominant_freq_features(rr: np.ndarray, n: int) -> np.ndarray:
+    coeffs = dct2(rr)
     d = np.zeros(n)
     take = min(n, coeffs.size)
     d[:take] = coeffs[:take]

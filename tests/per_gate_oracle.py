@@ -5,10 +5,21 @@ matrix-vector product per gate, each direction of a layer scanned on its
 own, one sequence at a time. Tests compare the package against it.
 """
 
+from collections import namedtuple
+
 import numpy as np
 from scipy.special import expit
 
-from sleepstager.network import LstmParams, Network, _check_one_hot, _loss_backward
+from sleepstager.network import LSTM_FIELDS, Network, _check_one_hot, _loss_backward
+
+# One direction's cell parameters: input maps (hidden, input), recurrent
+# maps (hidden, hidden), elementwise peepholes and biases (hidden,).
+LstmParams = namedtuple("LstmParams", LSTM_FIELDS)
+
+
+def direction_params(net: Network, k: int, direction: str) -> LstmParams:
+    """Views of layer k's ``fwd`` or ``bwd`` cell parameters, read from ``net.params``."""
+    return LstmParams(*(net.params[f"layer{k}.{direction}.{f}"] for f in LSTM_FIELDS))
 
 
 def lstm_step(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: LstmParams):
@@ -75,49 +86,51 @@ def lstm_scan_backward(X: np.ndarray, cache: dict, p: LstmParams, dH: np.ndarray
     return dX, grads
 
 
-def _layer_forward(layer, X):
-    if layer.kind == "mlp":
-        hidden = np.tanh(X @ layer.mlp.W.T + layer.mlp.b)
+def _layer_forward(net, k, X):
+    kind = net.spec.layers[k][0]
+    if kind == "mlp":
+        hidden = np.tanh(X @ net.params[f"layer{k}.mlp.W"].T + net.params[f"layer{k}.mlp.b"])
         return hidden, {"inputs": X, "hidden": hidden}
-    fwd = lstm_scan(X, layer.fwd)
-    if layer.kind == "lstm":
+    fwd = lstm_scan(X, direction_params(net, k, "fwd"))
+    if kind == "lstm":
         return fwd["h"], {"inputs": X, "fwd": fwd}
-    bwd = lstm_scan(X[::-1], layer.bwd)
+    bwd = lstm_scan(X[::-1], direction_params(net, k, "bwd"))
     return np.concatenate([fwd["h"], bwd["h"][::-1]], axis=1), {"inputs": X, "fwd": fwd, "bwd": bwd}
 
 
 def network_probs(net: Network, X: np.ndarray):
     """Class probabilities of one sequence plus the per-layer caches."""
     caches = []
-    for layer in net.layers:
-        X, cache = _layer_forward(layer, X)
+    for k in range(len(net.spec.layers)):
+        X, cache = _layer_forward(net, k, X)
         caches.append(cache)
-    logits = X @ net.out_W.T + net.out_b
+    logits = X @ net.params["out.W"].T + net.params["out.b"]
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True), caches, X
 
 
 def network_gradients(net: Network, X: np.ndarray, Y: np.ndarray) -> dict[str, np.ndarray]:
-    """Loss gradients keyed like ``named_params``, layer by layer and gate by gate."""
+    """Loss gradients keyed like ``net.params``, layer by layer and gate by gate."""
     P, caches, last = network_probs(net, X)
     dP = _loss_backward(P, _check_one_hot(Y, P.shape))
     dZ = P * (dP - (dP * P).sum(axis=1, keepdims=True))
     grads = {"out.W": dZ.T @ last, "out.b": dZ.sum(axis=0)}
-    dH = dZ @ net.out_W
-    for k in range(len(net.layers) - 1, -1, -1):
-        layer, cache = net.layers[k], caches[k]
-        if layer.kind == "mlp":
+    dH = dZ @ net.params["out.W"]
+    for k in range(len(net.spec.layers) - 1, -1, -1):
+        (kind, H), cache = net.spec.layers[k], caches[k]
+        if kind == "mlp":
             dA = dH * (1.0 - cache["hidden"] ** 2)
             grads[f"layer{k}.mlp.W"] = dA.T @ cache["inputs"]
             grads[f"layer{k}.mlp.b"] = dA.sum(axis=0)
-            dH = dA @ layer.mlp.W
+            dH = dA @ net.params[f"layer{k}.mlp.W"]
             continue
-        H = layer.fwd.W_hi.shape[0]
-        dX, g = lstm_scan_backward(cache["inputs"], cache["fwd"], layer.fwd, dH[:, :H])
+        fwd = direction_params(net, k, "fwd")
+        dX, g = lstm_scan_backward(cache["inputs"], cache["fwd"], fwd, dH[:, :H])
         grads.update({f"layer{k}.fwd.{f}": v for f, v in g.items()})
-        if layer.kind == "blstm":
+        if kind == "blstm":
             X_b, dH_b = cache["inputs"][::-1], dH[:, H:][::-1]
-            dX_b, g_b = lstm_scan_backward(X_b, cache["bwd"], layer.bwd, dH_b)
+            bwd = direction_params(net, k, "bwd")
+            dX_b, g_b = lstm_scan_backward(X_b, cache["bwd"], bwd, dH_b)
             grads.update({f"layer{k}.bwd.{f}": v for f, v in g_b.items()})
             dX = dX + dX_b[::-1]
         dH = dX

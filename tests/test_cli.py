@@ -244,6 +244,22 @@ def test_non_finite_training_values_are_config_errors(cohort_dir, tmp_path, caps
     assert not (tmp_path / "m.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "fit-dict", "cv", "sweep"])
+def test_num_words_beyond_training_epochs_is_a_config_error(cohort_dir, tmp_path, capsys, command):
+    # was "usage error: need at least k=100000 samples, got 120" from the k-means fit
+    out = str(tmp_path / "out")
+    outputs = {"train": [out], "fit-dict": [out], "cv": ["--out-csv", out, "--out-json", out],
+               "sweep": ["--out", out]}
+    argv = [command, cohort_dir, *outputs[command], *FAST, "--set", "folds=3",
+            "--set", "num_words=100000"]
+    assert cli.main(argv) == 1
+    # 5 nights of 24 epochs: train holds one out; the first cv fold trains on one night
+    epochs = {"train": 96, "fit-dict": 120, "cv": 24, "sweep": 24}[command]
+    expect = f"config error: num_words=100000 exceeds the training split's {epochs} epochs"
+    assert capsys.readouterr().err.strip() == expect
+    assert not os.path.exists(out)
+
+
 def test_data_errors_exit_2(tmp_path):
     empty = str(tmp_path / "empty")
     os.makedirs(empty)

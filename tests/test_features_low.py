@@ -15,7 +15,6 @@ from sleepstager.ingest import (
     ActigraphySeries,
     HeartRateSeries,
     Recording,
-    RrEpoch,
     SleepStage,
     epoch_actigraphy,
     epoch_rr,
@@ -117,21 +116,21 @@ class TestDominantFreq:
     def test_constant_rr_hand_values(self):
         # constant rr of length 30: DCT is [r*sqrt(30), 0, 0, ...]
         r = 0.9
-        out = dct_block([RrEpoch(rr=np.full(30, r))], n=5)
+        out = dct_block([np.full(30, r)], n=5)
         dc = r * np.sqrt(30.0)
         expect = np.concatenate([[dc, 0, 0, 0, 0], [-dc, 0, 0, 0], [dc, 0, 0]])
         np.testing.assert_allclose(out, [expect], atol=1e-12)
 
     def test_short_epoch_pads_coefficients(self):
         rr = np.array([1.0, 0.9, 1.1])
-        out = dct_block([RrEpoch(rr=rr)], n=5)
+        out = dct_block([rr], n=5)
         d = np.concatenate([dct2(rr), [0.0, 0.0]])
         np.testing.assert_allclose(out, [np.concatenate([d, np.diff(d), np.diff(d, n=2)])])
 
     def test_block_length(self):
         rng = np.random.default_rng(1)
         for n in (3, 5, 8):
-            out = dct_block([RrEpoch(rr=rng.standard_normal(40) + 2)] * 2, n=n)
+            out = dct_block([rng.standard_normal(40) + 2] * 2, n=n)
             assert out.shape == (2, 3 * n - 3)
 
 
@@ -173,7 +172,7 @@ class TestAssembly:
         rr_epochs = impute_empty_rr(epoch_rr(rec))
         t = 6
         frame = frame_indices(t, 12, cfg.frame_epochs)
-        mean_rr = [np.mean(rr_epochs[j].rr) for j in frame]
+        mean_rr = [np.mean(rr_epochs[j]) for j in frame]
         freq = dct_block([rr_epochs[j] for j in frame], cfg.freq_components).ravel()
         act = cepstrum_block(epoch_actigraphy(rec)[t : t + 1], cfg.cepstrum_components)[0]
         assert (len(mean_rr), freq.shape, act.shape) == (10, (120,), (90,))

@@ -13,7 +13,6 @@ from sleepstager.ingest import (
     FourClassStage,
     HeartRateSeries,
     Recording,
-    RrEpoch,
     SleepStage,
     class_names,
     discover_cohort,
@@ -96,8 +95,8 @@ class TestRrConversion:
         act = ActigraphySeries(t=np.arange(1920) / 32.0, xyz=np.zeros((1920, 3)))
         rec = Recording(subject_id="x", hr=hr, act=act, labels=(W, N2))
         epochs = epoch_rr(rec)
-        np.testing.assert_allclose(epochs[0].rr, [1.0, 1.0])
-        np.testing.assert_allclose(epochs[1].rr, [0.5, 0.5])
+        np.testing.assert_allclose(epochs[0], [1.0, 1.0])
+        np.testing.assert_allclose(epochs[1], [0.5, 0.5])
 
     def test_epoch_actigraphy_counts(self):
         rec = make_recording(n_epochs=3)
@@ -124,8 +123,8 @@ class TestRrConversion:
             labels=(W,) * n,
             epoch_seconds=e,
         )
-        got = [e.rr for e in epoch_rr(rec)] + epoch_actigraphy(rec)
-        expect = [e.rr for e in mask_epoch_rr(rec)] + mask_epoch_actigraphy(rec)
+        got = epoch_rr(rec) + epoch_actigraphy(rec)
+        expect = mask_epoch_rr(rec) + mask_epoch_actigraphy(rec)
         assert len(got) == len(expect) == 2 * n
         for a, b in zip(got, expect):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -133,28 +132,28 @@ class TestRrConversion:
 
 class TestImputation:
     def test_fills_from_nearest(self):
-        a = RrEpoch(rr=np.array([1.0]))
-        b = RrEpoch()
-        c = RrEpoch(rr=np.array([0.5, 0.5]))
+        a = np.array([1.0])
+        b = np.empty(0)
+        c = np.array([0.5, 0.5])
         out = impute_empty_rr([a, b, b, c])
-        np.testing.assert_allclose(out[1].rr, [1.0])  # 1 from a, 2 from c
-        np.testing.assert_allclose(out[2].rr, [0.5, 0.5])  # 2 from a, 1 from c
-        np.testing.assert_allclose(out[3].rr, [0.5, 0.5])
+        np.testing.assert_allclose(out[1], [1.0])  # 1 from a, 2 from c
+        np.testing.assert_allclose(out[2], [0.5, 0.5])  # 2 from a, 1 from c
+        np.testing.assert_allclose(out[3], [0.5, 0.5])
 
     def test_equidistant_breaks_earlier(self):
-        a = RrEpoch(rr=np.array([1.0]))
-        c = RrEpoch(rr=np.array([0.5]))
-        out = impute_empty_rr([a, RrEpoch(), c])
-        np.testing.assert_allclose(out[1].rr, [1.0])
+        a = np.array([1.0])
+        c = np.array([0.5])
+        out = impute_empty_rr([a, np.empty(0), c])
+        np.testing.assert_allclose(out[1], [1.0])
 
     def test_copy_not_alias(self):
-        a = RrEpoch(rr=np.array([1.0]))
-        out = impute_empty_rr([a, RrEpoch()])
-        assert out[1].rr is not a.rr
+        a = np.array([1.0])
+        out = impute_empty_rr([a, np.empty(0)])
+        assert out[1] is not a
 
     def test_all_empty_rejected(self):
         with pytest.raises(DataValidationError):
-            impute_empty_rr([RrEpoch(), RrEpoch()])
+            impute_empty_rr([np.empty(0), np.empty(0)])
 
 
 class TestConsensus:

@@ -2,14 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from per_gate_oracle import lstm_step, network_gradients
+from per_gate_oracle import LstmParams, lstm_step, network_gradients
 from per_gate_oracle import network_probs as oracle_probs
 
 from sleepstager import network
 from sleepstager.network import (
     MAX_LAYERS,
-    LstmParams,
-    MlpParams,
     NetSpec,
     Network,
     ParamViews,
@@ -30,7 +28,7 @@ ORACLE_STACKS = {
 
 
 def fill_random(net, rng, scale=0.4):
-    for _, arr in net.named_params():
+    for arr in net.params.values():
         arr[:] = scale * rng.standard_normal(arr.shape)
     return net
 
@@ -40,18 +38,19 @@ def random_net(spec, seed, scale=0.4):
 
 
 def make_layer(kind, fwd=None, bwd=None, mlp=None):
-    """The layer of a one-layer network whose parameters are copies of the given arrays."""
-    H, D = (mlp.W if kind == "mlp" else fwd.W_xi).shape
-    layer = Network.zeros(NetSpec(input_dim=D, num_classes=5, layers=((kind, H),))).layers[0]
-    for views, arrays in ((layer.fwd, fwd), (layer.bwd, bwd), (layer.mlp, mlp)):
-        for view, array in zip(views or (), arrays or ()):
-            view[...] = array
-    return layer
+    """The layer of a one-layer network whose parameters are copies of the given
+    arrays: ``LstmParams`` per direction, or an MLP's (W, b) pair."""
+    H, D = (mlp[0] if kind == "mlp" else fwd.W_xi).shape
+    net = Network.zeros(NetSpec(input_dim=D, num_classes=5, layers=((kind, H),)))
+    # the layout table lists the layer's arrays first: fwd fields, bwd fields, or W, b
+    for view, array in zip(net.params.values(), [*(fwd or ()), *(bwd or ()), *(mlp or ())]):
+        view[...] = array
+    return net.layers[0]
 
 
 def layer_forward(layer, inputs):
     """Outputs of one layer over one checked sequence, shape (T, layer output dim)."""
-    X = network._checked(inputs, (layer.mlp.W if layer.kind == "mlp" else layer.fwd.W_xi).shape[1])
+    X = network._checked(inputs, layer.inputs)
     return network._layer_forward_trace(layer, X[:, None], network._reversal([len(X)])).outputs[:, 0]
 
 
@@ -169,14 +168,14 @@ class TestLayerForward:
 
     def test_mlp_is_timestep_local(self):
         rng = np.random.default_rng(5)
-        mlp = MlpParams(W=rng.standard_normal((4, 3)), b=rng.standard_normal(4))
+        mlp = (rng.standard_normal((4, 3)), rng.standard_normal(4))
         layer = make_layer("mlp", mlp=mlp)
         X = rng.standard_normal((8, 3))
         perm = rng.permutation(8)
         np.testing.assert_array_equal(layer_forward(layer, X[perm]), layer_forward(layer, X)[perm])
 
     def test_empty_sequence_rejected(self):
-        layer = make_layer("mlp", mlp=MlpParams(W=np.zeros((2, 2)), b=np.zeros(2)))
+        layer = make_layer("mlp", mlp=(np.zeros((2, 2)), np.zeros(2)))
         with pytest.raises(ValueError):
             layer_forward(layer, np.zeros((0, 2)))
 
@@ -201,7 +200,7 @@ class TestNetworkForward:
         X = rng.standard_normal((6, 4))
         probs, _ = network_forward(net, X)
         manual = layer_forward(net.layers[1], layer_forward(net.layers[0], X))
-        logits = manual @ net.out_W.T + net.out_b
+        logits = manual @ net.params["out.W"].T + net.params["out.b"]
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         np.testing.assert_allclose(probs, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
@@ -211,7 +210,7 @@ class TestNetworkForward:
         net = random_net(spec, 9)
         X = rng.standard_normal((5, 3))
         base, _ = network_forward(net, X)
-        net.out_b += 3.7  # same shift for every class
+        net.params["out.b"] += 3.7  # same shift for every class
         shifted, _ = network_forward(net, X)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
         np.testing.assert_array_equal(predict_stages(shifted), predict_stages(base))
@@ -269,7 +268,7 @@ class TestBackward:
         rng = np.random.default_rng(11)
         net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("lstm", 4),)), 11)
         _, trace = network_forward(net, rng.standard_normal((5, 3)))
-        net.layers[0].fwd.W_xi[0, 0] += 1.0
+        net.params["layer0.fwd.W_xi"][0, 0] += 1.0
         with pytest.raises(ValueError, match="stale"):
             network_backward(net, trace, np.eye(5)[[0, 1, 2, 3, 4]])
 
@@ -278,7 +277,7 @@ class TestBackward:
         rng = np.random.default_rng(11)
         net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("lstm", 4),)), 11)
         _, trace = network_forward(net, rng.standard_normal((5, 3)))
-        net.layers[0].fwd.W_hf[1, 2] *= -1.0
+        net.params["layer0.fwd.W_hf"][1, 2] *= -1.0
         with pytest.raises(ValueError, match="stale"):
             network_backward(net, trace, np.eye(5)[[0, 1, 2, 3, 4]])
 
@@ -286,7 +285,8 @@ class TestBackward:
         rng = np.random.default_rng(11)
         net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("blstm", 2),)), 11)
         _, trace = network_forward(net, rng.standard_normal((5, 3)))
-        net.out_W[[0, 1]] = net.out_W[[1, 0]]
+        W = net.params["out.W"]
+        W[[0, 1]] = W[[1, 0]]
         with pytest.raises(ValueError, match="stale"):
             network_backward(net, trace, np.eye(5)[[0, 1, 2, 3, 4]])
 
@@ -297,10 +297,9 @@ class TestBackward:
         Y = np.eye(4)[rng.integers(0, 4, size=6)]
         _, trace = network_forward(net, rng.standard_normal((6, 4)))
         grads = network_backward(net, trace, Y)
-        names = dict(net.named_params())
-        assert set(grads) == set(names)
+        assert set(grads) == set(net.params)
         for name, g in grads.items():
-            assert g.shape == names[name].shape
+            assert g.shape == net.params[name].shape
             assert np.all(np.isfinite(g))
 
     def test_backward_deterministic(self):
@@ -326,7 +325,7 @@ class TestBackward:
         _, trace = network_forward(net, X)
         grads = network_backward(net, trace, Y)
         step = 1e-5
-        for name, arr in net.named_params():
+        for name, arr in net.params.items():
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -364,7 +363,7 @@ class TestPerGateOracle:
             _, trace = network_forward(net, X)
             grads = network_backward(net, trace, Y)
             expect = network_gradients(net, X, Y)
-            assert list(grads) == [name for name, _ in net.named_params()]
+            assert list(grads) == list(net.params)
             assert set(expect) == set(grads)
             for name, g in grads.items():
                 scale = max(np.abs(expect[name]).max(), 1e-300)
@@ -412,11 +411,11 @@ class TestPerGateOracle:
 
 
 class TestSpecAndParams:
-    def test_param_shapes_align_with_named_params(self):
+    def test_param_shapes_align_with_params(self):
         spec = NetSpec(input_dim=7, num_classes=5, layers=(("blstm", 3), ("mlp", 4)))
         net = Network.zeros(spec)
         from_spec = spec.param_shapes()
-        from_net = [(n, a.shape) for n, a in net.named_params()]
+        from_net = [(n, a.shape) for n, a in net.params.items()]
         assert from_spec == from_net
 
     def test_blstm_doubles_output_width(self):
@@ -453,17 +452,21 @@ class TestSpecAndParams:
         spec = NetSpec(input_dim=3, num_classes=5, layers=(("blstm", 2), ("mlp", 4)))
         net = random_net(spec, 16)
         np.testing.assert_array_equal(
-            net.flat, np.concatenate([a.ravel() for _, a in net.named_params()])
+            net.flat, np.concatenate([a.ravel() for a in net.params.values()])
         )
         net.flat[:] = np.arange(net.flat.size)
-        assert net.layers[0].fwd.W_xi[0, 0] == 0.0
-        assert net.out_b[-1] == net.flat.size - 1
+        assert net.params["layer0.fwd.W_xi"][0, 0] == 0.0
+        assert net.params["out.b"][-1] == net.flat.size - 1
         # a layer's fused operands are views of the same memory
         Wx, Wh, wc, b = net.layers[0].operands()
         assert Wx.shape == (2, 8, 3) and Wh.shape == (2, 8, 2) and wc.shape == (2, 3, 2)
         assert all(np.shares_memory(a, net.flat) for a in (Wx, Wh, wc, b))
-        np.testing.assert_array_equal(Wx[1, 2:4], net.layers[0].bwd.W_xf)
-        np.testing.assert_array_equal(wc[0, 2], net.layers[0].fwd.w_co)
+        np.testing.assert_array_equal(Wx[1, 2:4], net.params["layer0.bwd.W_xf"])
+        np.testing.assert_array_equal(wc[0, 2], net.params["layer0.fwd.w_co"])
+        W, b = net.layers[1].operands()
+        assert np.shares_memory(W, net.flat) and np.shares_memory(b, net.flat)
+        np.testing.assert_array_equal(W, net.params["layer1.mlp.W"])
+        np.testing.assert_array_equal(b, net.params["layer1.mlp.b"])
 
     def test_weight_mask_excludes_biases(self):
         spec = NetSpec(input_dim=3, num_classes=5, layers=(("lstm", 2), ("mlp", 4)))
@@ -473,5 +476,5 @@ class TestSpecAndParams:
     def test_clone_is_disjoint(self):
         net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("mlp", 2),)), 15)
         twin = net.clone()
-        net.out_b += 1.0
-        assert not np.array_equal(net.out_b, twin.out_b)
+        net.params["out.b"] += 1.0
+        assert not np.array_equal(net.params["out.b"], twin.params["out.b"])

@@ -25,11 +25,11 @@ def toy_sequences(rng, n_seqs, T, num_classes=4):
 
 
 def snapshot(net):
-    return {name: arr.copy() for name, arr in net.named_params()}
+    return {name: arr.copy() for name, arr in net.params.items()}
 
 
 def assert_params_equal(net, snap):
-    for name, arr in net.named_params():
+    for name, arr in net.params.items():
         np.testing.assert_array_equal(arr, snap[name], err_msg=name)
 
 
@@ -64,11 +64,11 @@ class TestInit:
         spec = NetSpec(input_dim=6, num_classes=5, layers=(("blstm", 4),))
         a = init_params(spec, seed=99)
         b = init_params(spec, seed=99)
-        for (_, pa), (_, pb) in zip(a.named_params(), b.named_params()):
+        for (_, pa), (_, pb) in zip(a.params.items(), b.params.items()):
             np.testing.assert_array_equal(pa, pb)
         c = init_params(spec, seed=100)
-        flat_a = np.concatenate([p.ravel() for _, p in a.named_params()])
-        flat_c = np.concatenate([p.ravel() for _, p in c.named_params()])
+        flat_a = np.concatenate([p.ravel() for p in a.params.values()])
+        flat_c = np.concatenate([p.ravel() for p in c.params.values()])
         assert not np.array_equal(flat_a, flat_c)
 
     def test_gaussian_moments_at_scale(self):
@@ -76,7 +76,7 @@ class TestInit:
         # sample std within 0.005 of 0.1 with huge margin
         spec = NetSpec(input_dim=330, num_classes=5, layers=(("mlp", 300),))
         net = init_params(spec, seed=5, init_std=0.1)
-        flat = np.concatenate([p.ravel() for _, p in net.named_params()])
+        flat = np.concatenate([p.ravel() for p in net.params.values()])
         assert flat.size >= 100_000
         assert abs(flat.mean()) < 0.005
         assert abs(flat.std() - 0.1) < 0.005
@@ -203,7 +203,7 @@ class TestTrain:
                 X, Y = seqs[s]
                 _, trace = network_forward(manual, X)
                 grads = network_backward(manual, trace, Y)
-                for name, arr in manual.named_params():
+                for name, arr in manual.params.items():
                     arr -= 0.05 * grads[name]
             tl = mean_loss(manual, seqs[:3])
             vl = mean_loss(manual, [seqs[3]])
@@ -212,7 +212,7 @@ class TestTrain:
                 best_val = vl
                 best = manual.clone()
         assert history == manual_hist
-        for (_, a), (_, b) in zip(trained.named_params(), best.named_params()):
+        for (_, a), (_, b) in zip(trained.params.items(), best.params.items()):
             np.testing.assert_array_equal(a, b)
 
     def test_learns_separable_toy_task(self):
@@ -242,7 +242,7 @@ class TestTrain:
         a, hist_a = train(net, seqs[:3], seqs[3:], cfg)
         b, hist_b = train(net, seqs[:3], seqs[3:], cfg)
         assert hist_a == hist_b
-        for (_, pa), (_, pb) in zip(a.named_params(), b.named_params()):
+        for (_, pa), (_, pb) in zip(a.params.items(), b.params.items()):
             np.testing.assert_array_equal(pa, pb)
 
     def test_returns_best_validation_params(self):
