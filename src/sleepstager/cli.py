@@ -12,10 +12,12 @@ Every file the package reads or writes goes through a subcommand here:
     gradcheck   compare analytic and numeric gradients
     sweep       cross-validate a grid of architectures
 
-Exit codes: 0 success, 1 usage or config error, 2 data validation
-failure, 3 numeric failure (gradient check over threshold, non-finite
-values during training). All outputs are deterministic: running a
-command twice with the same inputs produces byte-identical files.
+Exit codes and stderr labels, one per class in ``errors``: 0 success;
+1 ``usage error`` (UsageError) or ``config error`` (ConfigError); 2 ``data
+error`` (DataValidationError, or an unreadable file); 3 ``numeric failure``
+(NumericError: non-finite training or features, failed gradient check).
+All outputs are deterministic: running a command twice with the same
+inputs produces byte-identical files.
 """
 
 import argparse
@@ -26,7 +28,8 @@ from collections import Counter
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
+from .errors import ConfigError, DataValidationError, NumericError, SleepstagerError, UsageError
 from .evaluate import (
     confusion_matrix,
     cross_validate,
@@ -37,22 +40,14 @@ from .evaluate import (
 )
 from .features_low import recording_low_features
 from .features_mid import kmeans_fit
-from .ingest import DataValidationError, _fmt, load_cohort, save_recording, stages_to_indices
+from .ingest import _fmt, load_cohort, save_recording, stages_to_indices
 from .modelio import load_model, save_dictionary, save_model
-from .network import LAYER_KINDS, NetSpec, network_forward, predict_stages
+from .network import LAYER_KINDS, NetSpec, layer_stack, network_forward, predict_stages
 from .pipeline import check_num_words
 from .synth import SynthConfig, context_only_config, generate_cohort
 from .training import gradient_check
 
 GRADCHECK_FAIL_THRESHOLD = 1e-4
-
-
-class UsageError(Exception):
-    """Bad command line; maps to exit code 1."""
-
-
-class NumericError(Exception):
-    """Numeric breakdown (NaN, failed gradient check); maps to exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,11 +58,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _cfg(args) -> RunConfig:
     return load_config(args.config, args.set or [])
-
-
-def _require_finite(value: float, what: str) -> None:
-    if not math.isfinite(value):
-        raise NumericError(f"non-finite {what}")
 
 
 # ---------------------------------------------------------------- commands
@@ -95,9 +85,10 @@ def cmd_synth(args) -> int:
         seed=cfg.seed,
         difficulty=args.difficulty,
     )
-    synth_cfg = (
-        context_only_config(**overrides) if args.context_only else SynthConfig(**overrides)
-    )
+    try:
+        synth_cfg = (context_only_config if args.context_only else SynthConfig)(**overrides)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
     recs = generate_cohort(synth_cfg)
     for rec in recs:
@@ -110,9 +101,10 @@ def cmd_extract(args) -> int:
     cfg = _cfg(args)
     frame = cfg.frame()
     recs = load_cohort(args.data)
+    # every night is checked before the first file is written
+    all_lows = [recording_low_features(rec, frame) for rec in recs]
     os.makedirs(args.out, exist_ok=True)
-    for rec in recs:
-        lows = recording_low_features(rec, frame)
+    for rec, lows in zip(recs, all_lows):
         path = os.path.join(args.out, f"{rec.subject_id}_low.npy")
         np.save(path, lows)
         print(f"{path}: {lows.shape[0]} epochs x {lows.shape[1]} features")
@@ -126,7 +118,6 @@ def cmd_fit_dict(args) -> int:
     stacked = np.concatenate([recording_low_features(r, frame) for r in recs], axis=0)
     check_num_words(cfg.num_words, len(stacked))
     d = kmeans_fit(stacked, cfg.num_words, seed=cfg.seed)
-    _require_finite(d.objective, "clustering objective")
     save_dictionary(d, args.out)
     print(
         f"{d.num_words} words from {stacked.shape[0]} frames, "
@@ -145,8 +136,8 @@ def _split_train_val(recs, args, cfg):
         val_ids = set(wanted)
     else:
         if cfg.val_count >= len(recs):
-            raise UsageError(
-                f"val_count {cfg.val_count} leaves no training data "
+            raise ConfigError(
+                f"val_count={cfg.val_count} leaves no training data "
                 f"({len(recs)} recordings)"
             )
         val_ids = {r.subject_id for r in recs[-cfg.val_count :]}
@@ -177,10 +168,6 @@ def cmd_train(args) -> int:
         cfg.num_classes,
         (cfg.seed,) * 3,
     )
-    for train_loss, val_loss in history:
-        _require_finite(train_loss, "training loss")
-        _require_finite(val_loss, "validation loss")
-
     save_model(model, args.model)
     history_path = args.history or args.model + ".history.csv"
     with open(history_path, "w", encoding="utf-8", newline="") as fh:
@@ -225,8 +212,8 @@ def cmd_eval(args) -> int:
 
 
 def _cross_validate(cfg: RunConfig, recs, net_layers):
-    """Cross-validate ``net_layers`` on ``recs`` under ``cfg``; the aggregate must be finite."""
-    report = cross_validate(
+    """Cross-validate ``net_layers`` on ``recs`` under ``cfg``."""
+    return cross_validate(
         recs,
         frame=cfg.frame(),
         num_words=cfg.num_words,
@@ -237,9 +224,6 @@ def _cross_validate(cfg: RunConfig, recs, net_layers):
         seed=cfg.seed,
         num_classes=cfg.num_classes,
     )
-    for metric in (report.precision, report.recall, report.f1):
-        _require_finite(metric, "aggregate metric")
-    return report
 
 
 def cmd_cv(args) -> int:
@@ -264,9 +248,9 @@ def cmd_gradcheck(args) -> int:
         spec = NetSpec(
             input_dim=args.input_dim,
             num_classes=cfg.num_classes,
-            layers=((args.kind, args.units),) * args.layers,
+            layers=layer_stack(args.kind, args.units, args.layers),
         )
-    except ValueError as exc:
+    except ConfigError as exc:
         raise UsageError(str(exc)) from exc
     err = gradient_check(spec, T=args.seq_len, seed=cfg.seed)
     print(f"max relative gradient error: {_fmt(err)}")
@@ -384,25 +368,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except DataValidationError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # deliberate parameter rejections from validators; bad inputs, not bugs
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+    except SleepstagerError as exc:
+        kind, message = type(exc), str(exc)
+    except OSError as exc:  # a file that cannot be read or written
+        kind, message = DataValidationError, str(exc)
+    print(f"{kind.label}: {message}", file=sys.stderr)
+    return kind.exit_code
 
 
 if __name__ == "__main__":

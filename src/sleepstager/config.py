@@ -10,13 +10,10 @@ silent fallbacks.
 import dataclasses
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .features_low import FrameConfig
-from .network import check_net_shape
+from .network import check_net_shape, layer_stack
 from .training import TrainConfig
-
-
-class ConfigError(ValueError):
-    """Malformed config file, unknown key, or out-of-range value."""
 
 
 @dataclass(frozen=True)
@@ -52,17 +49,15 @@ class RunConfig:
     sweep_units: str = "32,64"
 
     def __post_init__(self):
-        try:
-            self.frame()
-            self.train_config()
-            check_net_shape(self.net_layers(), self.num_classes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.frame()
+        self.train_config()
+        check_net_shape(self.net_layers(), self.num_classes)
         checks = [
             (self.num_words >= 1, "num_words must be >= 1"),
             (self.folds >= 3, "folds must be >= 3 (a test, a validation and a training fold)"),
             (self.rounds >= 1, "rounds must be >= 1"),
             (self.val_count >= 1, "val_count must be >= 1"),
+            (self.seed >= 0, "seed must be >= 0"),
         ]
         for ok, message in checks:
             if not ok:
@@ -76,7 +71,7 @@ class RunConfig:
         )
 
     def net_layers(self) -> tuple[tuple[str, int], ...]:
-        return ((self.hidden_type, self.units),) * self.layers
+        return layer_stack(self.hidden_type, self.units, self.layers)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -101,8 +96,8 @@ class RunConfig:
         grid = [(t, d, w) for t in kinds for d in depths for w in widths]
         for kind, depth, width in grid:
             try:
-                check_net_shape(((kind, width),) * depth, self.num_classes)
-            except ValueError as exc:
+                check_net_shape(layer_stack(kind, width, depth), self.num_classes)
+            except ConfigError as exc:
                 raise ConfigError(f"sweep cell {kind} x{depth} @{width}: {exc}") from exc
         return grid
 

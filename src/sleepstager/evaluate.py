@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ConfigError
 from .features_low import FrameConfig, recording_low_features
 from .ingest import Recording, _fmt, class_names, stages_to_indices
 from .network import NetSpec, network_forward, predict_stages
@@ -155,6 +156,8 @@ def cross_validate(
     """
     if k < 3:
         raise ValueError(f"k={k}: need a test, a validation and a training fold (k >= 3)")
+    if k > len(recordings):
+        raise ConfigError(f"folds={k} exceeds the cohort's {len(recordings)} subjects")
     ids = [r.subject_id for r in recordings]
     if len(set(ids)) != len(ids):
         raise ValueError("subject ids must be unique")

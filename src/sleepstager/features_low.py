@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import MIN_EPOCH_ACTIGRAPHY, DataValidationError, Recording
+from .errors import ConfigError, DataValidationError
+from .ingest import MIN_EPOCH_ACTIGRAPHY, Recording
 from .ingest import epoch_actigraphy, epoch_rr, impute_empty_rr
 from .transforms import dct2, real_cepstrum
 
@@ -41,11 +42,11 @@ class FrameConfig:
 
     def __post_init__(self):
         if self.frame_epochs < 1:
-            raise ValueError("frame_epochs must be >= 1")
+            raise ConfigError("frame_epochs must be >= 1")
         if self.freq_components < 3:
-            raise ValueError("freq_components must be >= 3 so the second difference is non-empty")
+            raise ConfigError("freq_components must be >= 3 so the second difference is non-empty")
         if self.cepstrum_components < 1:
-            raise ValueError("cepstrum_components must be >= 1")
+            raise ConfigError("cepstrum_components must be >= 1")
 
     @property
     def dim(self) -> int:
@@ -122,7 +123,8 @@ def recording_low_features(rec: Recording, cfg: FrameConfig) -> np.ndarray:
     Row t is the frame's mean RR intervals, then the frame's DCT blocks in
     frame order, then epoch t's own cepstra: heart rate blocks read the
     whole frame around t (``frame_indices``), the actigraphy block reads
-    epoch t alone. Empty RR epochs are imputed first.
+    epoch t alone. Empty RR epochs are imputed first. Finite signals that
+    overflow into a non-finite row are a data error naming the subject.
     """
     n = rec.num_epochs
     if n < cfg.frame_epochs:
@@ -135,4 +137,9 @@ def recording_low_features(rec: Recording, cfg: FrameConfig) -> np.ndarray:
     mean_rr = np.array([np.mean(rr) for rr in rr_epochs])
     freq = dct_block(rr_epochs, cfg.freq_components)
     ceps = cepstrum_block(act_epochs, cfg.cepstrum_components)
-    return np.concatenate([mean_rr[frames], freq[frames].reshape(n, -1), ceps], axis=1)
+    low = np.concatenate([mean_rr[frames], freq[frames].reshape(n, -1), ceps], axis=1)
+    bad = np.flatnonzero(~np.isfinite(low).all(axis=1))
+    if bad.size:
+        msg = f"epoch {bad[0]} has non-finite low-level features (its signals overflow float64)"
+        raise DataValidationError(f"{rec.subject_id}: {msg}")
+    return low

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
+
+from .errors import NumericError
 
 KMEANS_MAX_ITERS = 100
 KMEANS_TOL = 1e-6
@@ -71,6 +75,8 @@ def _plusplus_init(
     d2 = _squared_distances(samples, centers[:1], sample_norms).ravel()
     for j in range(1, k):
         total = d2.sum()
+        if not math.isfinite(total):
+            raise NumericError("k-means seeding: squared distances overflow float64")
         if total <= 0.0:
             # every point coincides with a chosen center; any pick works
             centers[j] = samples[rng.integers(n)]
@@ -93,7 +99,8 @@ def kmeans_fit(
     lowest index), records the objective, repairs any empty cluster by
     handing it the point currently farthest from its assigned center, and
     recomputes centers as assignment means. Stops at max_iters or when the
-    relative objective improvement falls below tol.
+    relative objective improvement falls below tol. Samples whose squared
+    distances overflow float64 raise ``NumericError``.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
@@ -118,6 +125,8 @@ def kmeans_fit(
         # contribute exactly zero (the expanded form leaves ~1e-14 residue)
         point_d2 = np.sum((samples - centers[assign]) ** 2, axis=1)
         objective = float(point_d2.sum())
+        if not math.isfinite(objective):
+            raise NumericError(f"k-means iteration {iterations + 1}: objective overflows float64")
         history.append(objective)
         iterations += 1
 

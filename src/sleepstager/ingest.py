@@ -26,6 +26,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import DataValidationError
+
 EPOCH_SECONDS = 30.0
 ACTIGRAPHY_RATE_HZ = 32.0
 RATE_TOLERANCE = 0.05
@@ -34,10 +36,6 @@ RATE_TOLERANCE = 0.05
 MIN_EPOCH_ACTIGRAPHY = 3
 HR_HEADER = ["t_seconds", "bpm"]
 ACT_HEADER = ["t_seconds", "x_g", "y_g", "z_g"]
-
-
-class DataValidationError(ValueError):
-    """Raised when an input file or signal violates the format contract."""
 
 
 class SleepStage(Enum):

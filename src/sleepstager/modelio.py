@@ -117,6 +117,20 @@ def save_model(model: FittedModel, path: str) -> None:
         fh.write(_pack(header, arrays, MODEL_MAGIC))
 
 
+def _dictionary(centers, num_words, low_dim, iterations, objective, history, path) -> Dictionary:
+    """The codebook a header describes: its sizes must be the centres' shape,
+    ``iterations`` a positive integer and ``objective`` finite and >= 0."""
+    if not (type(num_words) is type(low_dim) is int and centers.shape == (num_words, low_dim)):
+        fault = f"inconsistent dims: centers {centers.shape}, num_words {num_words}, low_dim {low_dim}"
+    elif type(iterations) is not int or iterations < 1:
+        fault = f"iterations must be a positive integer, got {iterations!r}"
+    elif type(objective) not in (int, float) or not 0 <= objective < math.inf:
+        fault = f"objective must be finite and >= 0, got {objective!r}"
+    else:
+        return Dictionary(centers, iterations, objective, history)
+    raise DataValidationError(f"{path}: {fault}")
+
+
 def _check_version(header: dict, path: str) -> None:
     if header.get("version") != FORMAT_VERSION:
         raise DataValidationError(f"{path}: unsupported version {header.get('version')!r}")
@@ -148,37 +162,34 @@ def load_model(path: str) -> FittedModel:
         raise DataValidationError(f"{path}: invalid header: {exc}") from exc
 
     loaded = _arrays(body, array_meta, path)
-    net = Network.zeros(spec)
+    # the layout is checked against the body before the network is
+    # allocated, so a header cannot claim more parameters than the file holds
+    layout = [(f"net.{name}", shape) for name, shape in spec.param_shapes()]
     required = ["dictionary.centers", "norm.mean", "norm.std"]
-    for key in required + [f"net.{name}" for name in net.params]:
+    for key in required + [key for key, _ in layout]:
         if key not in loaded:
             raise DataValidationError(f"{path}: missing array {key}")
     centers, mean, std = (loaded[key] for key in required)
     if not (
-        centers.shape == (num_words, low_dim) and low_dim == frame.dim
-        and final_dim == low_dim + num_words and mean.shape == std.shape == (final_dim,)
+        low_dim == frame.dim and final_dim == low_dim + num_words
+        and mean.shape == std.shape == (final_dim,)
     ):
         raise DataValidationError(
             f"{path}: inconsistent dims: centers {centers.shape}, num_words {num_words}, "
             f"low_dim {low_dim}, frame dim {frame.dim}, final_dim {final_dim}, "
             f"norm.mean {mean.shape}, norm.std {std.shape}"
         )
+    for key, shape in layout:
+        if loaded[key].shape != shape:
+            raise DataValidationError(f"{path}: shape mismatch for {key}")
+    net = Network.zeros(spec)
     for name, arr in net.params.items():
-        if loaded[f"net.{name}"].shape != arr.shape:
-            raise DataValidationError(f"{path}: shape mismatch for net.{name}")
         arr[:] = loaded[f"net.{name}"]
-    iterations, objective, history = dict_meta
-    dictionary = Dictionary(
-        centers=centers,
-        iterations=iterations,
-        objective=objective,
-        objective_history=history,
-    )
     return FittedModel(
         frame=frame,
         num_classes=header["num_classes"],
         pipeline=FittedPipeline(
-            dictionary=dictionary,
+            dictionary=_dictionary(centers, num_words, low_dim, *dict_meta, path),
             stats=NormStats(mean=mean, std=std),
         ),
         net=net,
@@ -206,11 +217,9 @@ def load_dictionary(path: str) -> Dictionary:
     _check_version(header, path)
     try:
         (array,) = header["arrays"]
-        meta = (header["iterations"], header["objective"], tuple(header["objective_history"]))
+        meta = [header[key] for key in ("num_words", "low_dim", "iterations", "objective")]
+        history = tuple(header["objective_history"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: invalid header: {exc}") from exc
     (centers,) = _arrays(body, [array], path).values()
-    iterations, objective, history = meta
-    return Dictionary(
-        centers=centers, iterations=iterations, objective=objective, objective_history=history
-    )
+    return _dictionary(centers, *meta, history, path)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .errors import ConfigError
+
 LAYER_KINDS = ("mlp", "lstm", "blstm")
 MAX_LAYERS = 4
 
@@ -45,6 +47,18 @@ def _lstm_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
     return {name: maps.get(name[:3], (hidden,)) for name in LSTM_FIELDS}
 
 
+def _check_depth(depth: int) -> None:
+    if not 1 <= depth <= MAX_LAYERS:
+        raise ConfigError(f"layers must be between 1 and {MAX_LAYERS}")
+
+
+def layer_stack(kind: str, units: int, depth: int) -> tuple[tuple[str, int], ...]:
+    """``depth`` identical (kind, units) layers; the depth is checked before
+    the tuple is built, so a huge one is rejected without allocating it."""
+    _check_depth(depth)
+    return ((kind, units),) * depth
+
+
 def check_net_shape(layers, num_classes: int) -> None:
     """The network-shape rules: 1 to MAX_LAYERS (kind, units) layers of a
     known kind with at least one unit each, under a 4- or 5-class head.
@@ -52,14 +66,13 @@ def check_net_shape(layers, num_classes: int) -> None:
     ``NetSpec``, the run config and ``gradcheck`` all check through here.
     """
     if num_classes not in (4, 5):
-        raise ValueError("num_classes must be 4 or 5")
-    if not 1 <= len(layers) <= MAX_LAYERS:
-        raise ValueError(f"layers must be between 1 and {MAX_LAYERS}")
+        raise ConfigError("num_classes must be 4 or 5")
+    _check_depth(len(layers))
     for kind, units in layers:
         if kind not in LAYER_KINDS:
-            raise ValueError(f"hidden_type must be one of {LAYER_KINDS}, got {kind!r}")
+            raise ConfigError(f"hidden_type must be one of {LAYER_KINDS}, got {kind!r}")
         if units < 1:
-            raise ValueError("units must be >= 1")
+            raise ConfigError("units must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -76,7 +89,7 @@ class NetSpec:
 
     def __post_init__(self):
         if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+            raise ConfigError("input_dim must be >= 1")
         check_net_shape(self.layers, self.num_classes)
 
     def layer_io_dims(self) -> list[tuple[int, int]]:
@@ -424,8 +437,9 @@ def network_backward(net: Network, trace: ForwardTrace, labels: np.ndarray) -> P
     The values are views into one vector (``.flat``) laid out like the
     network's. Rejects a trace whose parameter copy no longer equals the
     network: gradients against mutated parameters would be silently wrong.
+    The comparison is of bit patterns, so a NaN parameter equals its copy.
     """
-    if not np.array_equal(net.flat, trace.params):
+    if not np.array_equal(net.flat.view(np.int64), trace.params.view(np.int64)):
         raise ValueError("stale trace: network parameters changed since forward pass")
     P = trace.probs
     Y = _check_one_hot(labels, P.shape)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .errors import ConfigError, DataValidationError, NumericError
 from .features_low import FrameConfig, recording_low_features
 from .features_mid import (
     Dictionary,
@@ -35,9 +35,13 @@ class FittedPipeline:
     stats: NormStats
 
     def transform(self, low: np.ndarray) -> np.ndarray:
-        """Low-level rows (T, d) to normalized final rows (T, d + K)."""
+        """Low-level rows (T, d) to normalized final rows (T, d + K), all
+        finite: a row that overflows is a ``NumericError``."""
         final = assemble_final(low, bow_encode(low, self.dictionary))
-        return zscore_apply(final, self.stats)
+        out = zscore_apply(final, self.stats)
+        if not np.isfinite(out).all():
+            raise NumericError("features overflow float64 in the codebook distances or z-score")
+        return out
 
     @property
     def final_dim(self) -> int:
@@ -60,6 +64,8 @@ def fit_pipeline(train_lows: list[np.ndarray], num_words: int, seed: int) -> Fit
         raise ValueError("need at least one training recording")
     stacked = np.concatenate(train_lows, axis=0)
     check_num_words(num_words, len(stacked))
+    if len(stacked) < 2:
+        raise DataValidationError("the training split has 1 epoch; z-score statistics need 2")
     dictionary = kmeans_fit(stacked, num_words, seed=seed)
     final = assemble_final(stacked, bow_encode(stacked, dictionary))
     stats = zscore_fit(final)

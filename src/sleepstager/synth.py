@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import ConfigError
 from .ingest import ActigraphySeries, HeartRateSeries, Recording, STAGE_ORDER
 
 _DEF_TRANSITION = 0.9 * np.eye(5) + 0.025 * (1.0 - np.eye(5))
@@ -45,23 +46,23 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n_recordings < 1 or self.epochs_per_recording < 1:
-            raise ValueError("need at least one recording and one epoch")
+            raise ConfigError("need at least one recording and one epoch")
         if not 0.0 < self.difficulty <= 1.0:
-            raise ValueError("difficulty must be in (0, 1]")
+            raise ConfigError("difficulty must be in (0, 1]")
         t = np.asarray(self.transition, dtype=np.float64)
         if t.shape != (5, 5) or np.any(t < 0):
-            raise ValueError("transition must be a non-negative 5x5 matrix")
+            raise ConfigError("transition must be a non-negative 5x5 matrix")
         if np.any(np.abs(t.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("transition rows must sum to 1")
+            raise ConfigError("transition rows must sum to 1")
         for name in ("hr_mean", "hr_std", "burst_prob", "burst_amp"):
             if np.asarray(getattr(self, name)).shape != (5,):
-                raise ValueError(f"{name} must have one entry per stage")
+                raise ConfigError(f"{name} must have one entry per stage")
         if np.any(self.hr_mean <= 0) or np.any(self.hr_std <= 0):
-            raise ValueError("heart rate means and stds must be > 0")
+            raise ConfigError("heart rate means and stds must be > 0")
         if np.any((self.burst_prob < 0) | (self.burst_prob > 1)):
-            raise ValueError("burst probabilities must lie in [0, 1]")
+            raise ConfigError("burst probabilities must lie in [0, 1]")
         if self.act_noise_std <= 0:
-            raise ValueError("act_noise_std must be > 0")
+            raise ConfigError("act_noise_std must be > 0")
 
 
 def context_only_config(**overrides) -> SynthConfig:

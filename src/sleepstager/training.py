@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError, NumericError
 from .network import (
     NetSpec,
     Network,
@@ -47,17 +48,17 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("learning_rate", "init_std", "weight_noise_std"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+            raise ConfigError("learning_rate must be >= 0")
         if self.init_std <= 0:
-            raise ValueError("init_std must be > 0")
+            raise ConfigError("init_std must be > 0")
         if self.weight_noise_std < 0:
-            raise ValueError("weight_noise_std must be >= 0")
+            raise ConfigError("weight_noise_std must be >= 0")
         if self.max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
+            raise ConfigError("max_passes must be >= 1")
         if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+            raise ConfigError("patience must be >= 1")
 
 
 def init_params(spec: NetSpec, seed: int, init_std: float = 0.1) -> Network:
@@ -67,7 +68,7 @@ def init_params(spec: NetSpec, seed: int, init_std: float = 0.1) -> Network:
     same seed always produces the same network.
     """
     if not 0 < init_std < math.inf:
-        raise ValueError(f"init_std must be finite and > 0, got {init_std}")
+        raise ConfigError(f"init_std must be finite and > 0, got {init_std}")
     rng = np.random.Generator(np.random.Philox(seed))
     net = Network.zeros(spec)
     net.flat[:] = rng.normal(0.0, init_std, size=net.flat.size)
@@ -109,7 +110,7 @@ def train(
     parameters; the returned network carries the parameters of the best
     validation pass. Stops after ``patience`` passes without improvement
     or at ``max_passes``. Returns (best network, [(train_loss, val_loss)]
-    per completed pass).
+    per completed pass), all finite: a non-finite pass raises ``NumericError``.
     """
     if not train_seqs or not val_seqs:
         raise ValueError("train and validation splits must be non-empty")
@@ -124,6 +125,10 @@ def train(
         train_loss = mean_loss(work, train_seqs)
         val_loss = mean_loss(work, val_seqs)
         history.append((train_loss, val_loss))
+        bad = np.count_nonzero(~np.isfinite(work.flat))
+        if bad or not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            msg = f"train loss {train_loss}, val loss {val_loss}, {bad} non-finite parameter(s)"
+            raise NumericError(f"training diverged in pass {len(history)}: {msg}")
         if val_loss < best_val:
             best_val = val_loss
             best = work.clone()

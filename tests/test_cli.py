@@ -1,12 +1,17 @@
 """End-to-end tests of the command line: exit codes, files, determinism."""
 
+import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sleepstager import cli
+from sleepstager.config import RunConfig
 from sleepstager.evaluate import fit_model
 from sleepstager.features_low import FrameConfig, recording_low_features
 from sleepstager.ingest import load_cohort, stages_to_indices
@@ -362,3 +367,145 @@ def test_config_file_and_set_precedence(tmp_path, capsys):
     assert cli.main(base + ["--set", "seed=4"]) == 0
     assert overridden == capsys.readouterr().out
     assert overridden != from_file
+
+
+def copy_cohort(src, dst, subject, suffix, edit):
+    """A copy of cohort ``src`` in which ``edit`` rewrites one file's data rows."""
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, f"{subject}_{suffix}.csv")
+    with open(path) as fh:
+        header, *rows = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *edit(rows)]) + "\n")
+    return str(dst)
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["cv", "--set", "folds=8"], "config error: folds=8 exceeds the cohort's 5 subjects"),
+        (["train", "--set", "val_count=5"],
+         "config error: val_count=5 leaves no training data (5 recordings)"),
+    ],
+)
+def test_config_beyond_the_cohort_is_a_config_error(cohort_dir, tmp_path, capsys, argv, expect):
+    # folds=8 was "usage error: need at least k=8 subjects, got 5"
+    command, *overrides = argv
+    outputs = {"cv": ["--out-csv", str(tmp_path / "o.csv"), "--out-json", str(tmp_path / "o.json")],
+               "train": [str(tmp_path / "m.bin")]}
+    assert cli.main([command, cohort_dir, *outputs[command], *FAST, *overrides]) == 1
+    assert capsys.readouterr().err.strip() == expect
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["cv", "train", "synth", "fit-dict", "gradcheck"])
+def test_negative_seed_is_a_config_error(cohort_dir, tmp_path, capsys, command):
+    # was numpy's "usage error: expected non-negative integer"
+    out = str(tmp_path / "out")
+    argv = {
+        "cv": ["cv", cohort_dir, "--out-csv", out, "--out-json", out, "--set", "folds=3"],
+        "train": ["train", cohort_dir, out],
+        "synth": ["synth", out, "--recordings", "1", "--epochs", "4"],
+        "fit-dict": ["fit-dict", cohort_dir, out],
+        "gradcheck": ["gradcheck"],
+    }[command]
+    assert cli.main(argv + FAST + ["--set", "seed=-1"]) == 1
+    assert capsys.readouterr().err.strip() == "config error: seed must be >= 0"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_actigraphy_is_a_data_error(cohort_dir, tmp_path, capsys):
+    # 1e308 then -1e308 is finite, so validate accepts it, but its first
+    # difference overflows; extract used to write non-finite features and
+    # exit 0, fit-dict and train to fail as "usage error: samples must be finite"
+    def overflow(rows):
+        for k, value in ((100, "1e308"), (101, "-1e308")):
+            cells = rows[k].split(",")
+            rows[k] = ",".join([cells[0], value, *cells[2:]])
+        return rows
+
+    data = copy_cohort(cohort_dir, tmp_path / "data", "s02", "act", overflow)
+    assert cli.main(["validate", data]) == 0
+    capsys.readouterr()
+    low, model = tmp_path / "low", tmp_path / "m.bin"
+    for argv in (["extract", data, str(low)], ["train", data, str(model)]):
+        assert cli.main(argv + FAST) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("data error: s02: epoch 0 has non-finite low-level features"), err
+    assert not low.exists()
+    assert not model.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["train", "fit-dict", "eval"])
+def test_overflowing_codebook_distances_are_a_numeric_failure(cohort_dir, tmp_path, capsys, command):
+    # a 1e-300 bpm sample gives finite features whose squared distances
+    # overflow; k-means used to fail in numpy as "usage error: probabilities
+    # contain NaN"
+    def tiny_bpm(rows):
+        rows[50] = rows[50].split(",")[0] + ",1e-300"
+        return rows
+
+    data = copy_cohort(cohort_dir, tmp_path / "data", "s02", "hr", tiny_bpm)
+    model = str(tmp_path / "m.bin")
+    assert cli.main(["train", cohort_dir, model] + FAST) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    argv = {"train": ["train", data, out] + FAST, "fit-dict": ["fit-dict", data, out] + FAST,
+            "eval": ["eval", model, data, "--out", out]}[command]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: ")
+    assert not os.path.exists(out)
+
+
+def test_one_epoch_training_split_is_a_data_error(tmp_path, capsys):
+    # was "usage error: need a (n>=2, d) training matrix" from the z-score fit
+    data = str(tmp_path / "data")
+    assert cli.main(["synth", data, "--recordings", "2", "--epochs", "1"]) == 0
+    capsys.readouterr()
+    model = tmp_path / "m.bin"
+    assert cli.main(["train", data, str(model)] + FAST + ["--set", "frame_epochs=1",
+                                                          "--set", "num_words=1"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "data error: the training split has 1 epoch; z-score statistics need 2"
+    assert not model.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("setting", ["init_std=1e308", "weight_noise_std=1e308"])
+def test_diverged_training_exits_3(cohort_dir, tmp_path, capsys, setting):
+    # both used to end as "usage error: stale trace", because NaN != NaN
+    model = tmp_path / "m.bin"
+    assert cli.main(["train", cohort_dir, str(model)] + FAST + ["--set", setting]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: training diverged in pass 1: "), err
+    assert not model.exists()
+    assert os.listdir(tmp_path) == []
+
+
+HUGE = "1" + "0" * 308
+FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# huge values go only to float keys and to keys rejected before anything
+# of their size is allocated; a huge units, freq_components,
+# cepstrum_components, max_passes, patience or rounds would run out of memory
+HUGE_OK = {"folds", "num_words", "layers", "val_count", "frame_epochs"}
+SETTINGS = [
+    f"{key}={value}"
+    for key, kind in FIELDS.items()
+    for value in ["nan", "inf", "-inf", "0", "-1"]
+    + (["1e308"] if kind is float else [HUGE] if key in HUGE_OK else [])
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(chosen=st.lists(st.sampled_from(SETTINGS), min_size=1, max_size=2))
+@example(chosen=[f"layers={HUGE}"])  # escaped as an OverflowError building the layer tuple
+def test_set_values_end_in_an_exit_code(cohort_dir, tmp_path_factory, chosen):
+    # no --set value may escape cli.main as an exception
+    model = str(tmp_path_factory.mktemp("set") / "m.bin")
+    argv = ["train", cohort_dir, model] + FAST
+    for setting in chosen:
+        argv += ["--set", setting]
+    assert cli.main(argv) in (0, 1, 2, 3)

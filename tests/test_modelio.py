@@ -407,3 +407,42 @@ def test_non_integer_sizes_rejected(tmp_path, edit):
     rewrite_header(path, edit)
     with pytest.raises(DataValidationError, match="invalid header: sizes must be integers"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "kind, edit, match",
+    [
+        ("dictionary", {"num_words": 7}, "inconsistent dims"),
+        ("dictionary", {"low_dim": 99}, "inconsistent dims"),
+        ("dictionary", {"num_words": 3.0}, "inconsistent dims"),
+        ("dictionary", {"iterations": -5}, "iterations must be a positive integer"),
+        ("dictionary", {"iterations": 0}, "iterations must be a positive integer"),
+        ("dictionary", {"iterations": 7.0}, "iterations must be a positive integer"),
+        ("dictionary", {"objective": -1.0}, "objective must be finite and >= 0"),
+        ("dictionary", {"objective": float("nan")}, "objective must be finite and >= 0"),
+        ("dictionary", {"objective": float("inf")}, "objective must be finite and >= 0"),
+        ("dictionary", {"objective": "1.0"}, "objective must be finite and >= 0"),
+        ("model", {"dict_iterations": 0}, "iterations must be a positive integer"),
+        ("model", {"dict_objective": -1.0}, "objective must be finite and >= 0"),
+    ],
+)
+def test_dictionary_metadata_must_fit_its_centres(tmp_path, kind, edit, match):
+    # these headers used to load: a 3 x 4 codebook claiming 7 words, a
+    # negative iteration count, a negative or non-finite objective
+    path = str(tmp_path / "f")
+    with open(path, "wb") as fh:
+        fh.write(read_file(GOLDEN[kind][0]))
+    rewrite_header(path, lambda header: header.update(edit))
+    with pytest.raises(DataValidationError, match=match):
+        GOLDEN[kind][1](path)
+
+
+def test_header_claiming_a_huge_layer_is_a_data_error(tmp_path):
+    # the body holds a width-2 layer; numpy used to refuse the claimed
+    # network's allocation with a bare ValueError
+    path = str(tmp_path / "m")
+    with open(path, "wb") as fh:
+        fh.write(read_file(GOLDEN["model"][0]))
+    rewrite_header(path, lambda header: header.update(layers=[["blstm", 10**20], ["mlp", 3]]))
+    with pytest.raises(DataValidationError, match="shape mismatch for net.layer0.fwd.W_xi"):
+        load_model(path)
