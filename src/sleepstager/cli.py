@@ -367,7 +367,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # numeric faults end in one NumericError line, not numpy warnings first
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SleepstagerError as exc:
         kind, message = type(exc), str(exc)
     except OSError as exc:  # a file that cannot be read or written

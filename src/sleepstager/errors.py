@@ -24,5 +24,6 @@ class DataValidationError(SleepstagerError, ValueError):
 
 
 class NumericError(SleepstagerError):
-    """Numeric breakdown: non-finite training values, failed gradient check."""
+    """Numeric breakdown: non-finite training values, failed gradient check.
+    Training sets ``member``, the diverged network's place in its group."""
     exit_code, label = 3, "numeric failure"

@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .features_low import FrameConfig, recording_low_features
 from .ingest import Recording, _fmt, class_names, stages_to_indices
 from .network import NetSpec, network_forward, predict_stages
 from .pipeline import FittedModel, FittedPipeline, fit_pipeline, make_sequences
-from .training import TrainConfig, init_params, train
+from .training import LOCKSTEP_FOLDS, TrainConfig, init_params, train
 
 Split = tuple[list[np.ndarray], list[np.ndarray]]  # (low features, stage indices) per recording
 
@@ -80,6 +80,21 @@ def kfold_split(subject_ids: list[str], k: int, seed: int) -> list[list[str]]:
     return [shuffled[j::k] for j in range(k)]
 
 
+def _fit_job(train_split, val_split, num_words, net_layers, train_cfg, num_classes, seeds):
+    """The fitted pipeline of one fit and the ``train`` arguments for its
+    network: initial network, training and validation sequences, config."""
+    kmeans_seed, init_seed, sgd_seed = seeds
+    pipeline = fit_pipeline(train_split[0], num_words, seed=kmeans_seed)
+    spec = NetSpec(input_dim=pipeline.final_dim, num_classes=num_classes, layers=net_layers)
+    net = init_params(spec, seed=init_seed, init_std=train_cfg.init_std)
+    return pipeline, (
+        net,
+        make_sequences(*train_split, pipeline, num_classes),
+        make_sequences(*val_split, pipeline, num_classes),
+        replace(train_cfg, seed=sgd_seed),
+    )
+
+
 def fit_model(
     train_split: Split,
     val_split: Split,
@@ -94,16 +109,10 @@ def fit_model(
     with early stopping on the validation split; ``seeds`` are the k-means,
     init and SGD seeds. Returns the model and the per-pass (train, val) losses.
     """
-    kmeans_seed, init_seed, sgd_seed = seeds
-    pipeline = fit_pipeline(train_split[0], num_words, seed=kmeans_seed)
-    spec = NetSpec(input_dim=pipeline.final_dim, num_classes=num_classes, layers=net_layers)
-    net = init_params(spec, seed=init_seed, init_std=train_cfg.init_std)
-    trained, history = train(
-        net,
-        make_sequences(*train_split, pipeline, num_classes),
-        make_sequences(*val_split, pipeline, num_classes),
-        replace(train_cfg, seed=sgd_seed),
+    pipeline, job = _fit_job(
+        train_split, val_split, num_words, net_layers, train_cfg, num_classes, seeds
     )
+    trained, history = train(*job)
     return FittedModel(frame, num_classes, pipeline, trained), history
 
 
@@ -168,37 +177,39 @@ def cross_validate(
     def split(id_list) -> Split:
         return [lows[by_id[s]] for s in id_list], [labels[by_id[s]] for s in id_list]
 
-    results: list[FoldResult] = []
+    plan = []  # round, fold, and test, validation and training subjects and seeds of every fit
     for round_index in range(rounds):
         folds = kfold_split(ids, k, seed + round_index)
-        for fold_index in range(k):
-            val_index = (fold_index + 1) % k
-            test_ids, val_ids = folds[fold_index], folds[val_index]
-            train_ids = [s for j in range(k) if j not in (fold_index, val_index) for s in folds[j]]
-            seeds = np.random.SeedSequence(seed, spawn_key=(round_index, fold_index))
-            model, history = fit_model(
-                split(train_ids), split(val_ids), frame, num_words, net_layers, train_cfg,
-                num_classes, tuple(int(s) for s in seeds.generate_state(3)),
-            )
+        for f in range(k):
+            v = (f + 1) % k
+            seeds = np.random.SeedSequence(seed, spawn_key=(round_index, f)).generate_state(3)
+            train_ids = [s for j in range(k) if j not in (f, v) for s in folds[j]]
+            plan.append((round_index, f, folds[f], folds[v], train_ids, [int(s) for s in seeds]))
 
+    results: list[FoldResult] = []
+    for start in range(0, len(plan), LOCKSTEP_FOLDS):
+        group = plan[start : start + LOCKSTEP_FOLDS]
+        pipelines, jobs = zip(*(
+            _fit_job(split(tr), split(va), num_words, net_layers, train_cfg, num_classes, sd)
+            for *_, va, tr, sd in group
+        ))
+        try:
+            nets, histories = train(*zip(*jobs))
+        except NumericError as exc:
+            round_index, fold_index = group[exc.member][:2]
+            raise NumericError(f"round {round_index}, fold {fold_index}: {exc}") from exc
+        del jobs  # the group's sequences and initial networks, before test scoring
+        for (round_index, fold_index, test_ids, *_), pipeline, net, history in zip(
+            group, pipelines, nets, histories
+        ):
             test_lows, refs = split(test_ids)
-            probs = [network_forward(model.net, model.pipeline.transform(x))[0] for x in test_lows]
+            probs = [network_forward(net, pipeline.transform(x))[0] for x in test_lows]
             preds = [predict_stages(night) for night in probs]
             cm = confusion_matrix(np.concatenate(refs), np.concatenate(preds), num_classes)
             p, r, f1 = weighted_metrics(cm)
-            results.append(
-                FoldResult(
-                    round_index=round_index,
-                    fold_index=fold_index,
-                    test_subjects=tuple(test_ids),
-                    cm=cm,
-                    precision=p,
-                    recall=r,
-                    f1=f1,
-                    pipeline=model.pipeline,
-                    passes_run=len(history),
-                )
-            )
+            results.append(FoldResult(
+                round_index, fold_index, tuple(test_ids), cm, p, r, f1, pipeline, len(history)
+            ))
 
     return CvReport(
         num_classes=num_classes,

@@ -185,8 +185,13 @@ class Network:
 
     @classmethod
     def zeros(cls, spec: NetSpec) -> "Network":
-        """All-zero parameters with the spec's shapes."""
-        return cls(spec, np.zeros(sum(math.prod(s) for _, s in spec.param_shapes())))
+        """All-zero parameters with the spec's shapes; a size numpy rejects
+        before allocating anything is a config error."""
+        size = sum(math.prod(s) for _, s in spec.param_shapes())
+        try:
+            return cls(spec, np.zeros(size))
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"cannot allocate a network of {size} parameters ({exc})") from exc
 
     def weight_mask(self) -> np.ndarray:
         """True at every coordinate of ``flat`` that is not a bias."""
@@ -201,21 +206,25 @@ def is_bias(name: str) -> bool:
     return name.rsplit(".", 1)[-1] in ("b", "b_i", "b_f", "b_c", "b_o")
 
 
-def _scan(A: np.ndarray, Wh, wc) -> dict[str, np.ndarray]:
-    """Run K cells, one per direction, over B sequences each, from zero states.
+def _scan(A: np.ndarray, Wh, wc, trace: bool = True) -> dict[str, np.ndarray]:
+    """Run K cells over B sequences each, from zero states.
 
-    A is (T, K, B, 4H): each direction's input projections plus biases, in
-    that direction's time order, computed before the time loop. Each step
-    is one batched (B, H) x (H, 4H) product per direction. Returns
-    (T, K, B, H) arrays of the gates, cells and outputs.
+    A is (T, K, B, 4H): each cell's input projections plus biases, in that
+    cell's time order, computed before the time loop. The cells are the
+    directions of one layer, or of one layer of each network in a group,
+    with ``Wh`` and ``wc`` stacked along K. Each step is one batched
+    (B, H) x (H, 4H) product per cell. Returns (T, K, B, H) arrays of the
+    outputs and, when ``trace``, of the gates and cells backpropagation needs.
     """
     T, K, B, _ = A.shape
     H = Wh.shape[2]
     WhT = Wh.transpose(0, 2, 1)
     w_if = wc[:, None, :2]
     w_o = wc[:, None, 2]
-    IF = np.empty((T, K, B, 2, H))
-    G, C, O, Hs = (np.empty((T, K, B, H)) for _ in range(4))
+    Hs = np.empty((T, K, B, H))
+    if trace:
+        IF = np.empty((T, K, B, 2, H))
+        G, C, O = (np.empty((T, K, B, H)) for _ in range(3))
     h = np.zeros((K, B, H))
     c = np.zeros((K, B, H))
     for t in range(T):
@@ -225,7 +234,11 @@ def _scan(A: np.ndarray, Wh, wc) -> dict[str, np.ndarray]:
         c = i_f[:, :, 1] * c + i_f[:, :, 0] * g
         o = expit(a[..., 3 * H :] + w_o * c)
         h = o * np.tanh(c)
-        IF[t], G[t], C[t], O[t], Hs[t] = i_f, g, c, o, h
+        Hs[t] = h
+        if trace:
+            IF[t], G[t], C[t], O[t] = i_f, g, c, o
+    if not trace:
+        return {"h": Hs}
     return {"i": IF[:, :, :, 0], "f": IF[:, :, :, 1], "g": G, "c": C, "o": O, "h": Hs}
 
 
@@ -234,15 +247,17 @@ def _scan_backward(cache: dict, Wh, wc, dHs: np.ndarray):
 
     Every derivative factor that does not involve the carries is computed
     for all T up front; each step then costs one (B, 4H) x (4H, H) product
-    per direction. The cell gradient picks up the output-gate peephole at
-    the current step and the input/forget peepholes one step later.
-    Returns the gate pre-activation gradients dA (T, K, B, 4H) and the
-    gradients of W_h, w_c and b as one (K, 4H*H + 3H + 4H) array.
+    per cell. The cell gradient picks up the output-gate peephole at the
+    current step and the input/forget peepholes one step later. ``dHs`` is
+    zero past each network's length, and each network's weight gradients
+    are summed over its own ``cache["T"]`` steps, as a scan of it alone
+    would sum them. Returns the gate pre-activation gradients dA
+    (T, K, B, 4H) and the gradients of W_h, w_c and b as one
+    (K, 4H*H + 3H + 4H) array.
     """
     I, F, G, C, O = cache["i"], cache["f"], cache["g"], cache["c"], cache["o"]
     T, K, B, H = C.shape
     C_prev = np.concatenate([np.zeros((1, K, B, H)), C[:-1]])
-    H_prev = np.concatenate([np.zeros((1, K, B, H)), cache["h"][:-1]])
     w_ci, w_cf, w_co = wc[:, None, 0], wc[:, None, 1], wc[:, None, 2]
     tc = np.tanh(C)
     P_o = tc * O * (1.0 - O)
@@ -259,16 +274,24 @@ def _scan_backward(cache: dict, Wh, wc, dHs: np.ndarray):
         dA[t, ..., 3 * H :] = dh * P_o[t]
         dh_carry = np.matmul(dA[t], Wh)
         dc_carry = dc * P_cc[t]
-    dA_k = dA.transpose(1, 0, 2, 3).reshape(K, T * B, 4 * H)
-    H_k = H_prev.transpose(1, 0, 2, 3).reshape(K, T * B, H)
-    d_wif = (dA[..., : 2 * H].reshape(T, K, B, 2, H) * C_prev[:, :, :, None]).sum(axis=(0, 2))
-    grad = np.concatenate([
-        np.matmul(dA_k.transpose(0, 2, 1), H_k).reshape(K, -1),
-        d_wif.reshape(K, -1),
-        (dA[..., 3 * H :] * C).sum(axis=(0, 2)),
-        dA_k.sum(axis=1),
-    ], axis=1)
-    return dA, grad
+    del tc, P_o, P_c, P_ifg, P_cc  # freed before the reductions allocate
+    H_prev = np.concatenate([np.zeros((1, K, B, H)), cache["h"][:-1]])
+    k = K // len(cache["T"])
+    grads = []
+    for m, T_m in enumerate(cache["T"]):
+        own = (slice(T_m), slice(m * k, (m + 1) * k))
+        dA_m = dA[own]
+        # contiguous, as alone: BLAS may round differently for other strides
+        dA_k = np.ascontiguousarray(dA_m.transpose(1, 0, 2, 3).reshape(k, T_m * B, 4 * H))
+        H_k = np.ascontiguousarray(H_prev[own].transpose(1, 0, 2, 3).reshape(k, T_m * B, H))
+        d_wif = dA_m[..., : 2 * H].reshape(T_m, k, B, 2, H) * C_prev[own][:, :, :, None]
+        grads.append(np.concatenate([
+            np.matmul(dA_k.transpose(0, 2, 1), H_k).reshape(k, -1),
+            d_wif.sum(axis=(0, 2)).reshape(k, -1),
+            (dA_m[..., 3 * H :] * C[own]).sum(axis=(0, 2)),
+            dA_k.sum(axis=1),
+        ], axis=1))
+    return dA, np.concatenate(grads)
 
 
 def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -290,30 +313,61 @@ def _reversal(lengths: list[int]) -> np.ndarray:
     return np.where(t < n, n - 1 - t, t)
 
 
-# Cached activations of one layer for exact backpropagation: its (T, B, D)
-# input batch, its outputs, and a recurrent layer's scan arrays.
+def as_group(net, *inputs):
+    """``(networks, inputs, single)``: a lone ``Network`` and its inputs as a
+    group of one, else a tuple of networks of one layer stack and, per input,
+    a tuple of one value per network."""
+    if isinstance(net, Network):
+        return (net,), [(x,) for x in inputs], True
+    net, inputs = tuple(net), [tuple(x) for x in inputs]
+    if not net or any(len(x) != len(net) for x in inputs) or len({n.spec.layers for n in net}) > 1:
+        raise ValueError("a group needs networks of one layer stack and one input per network")
+    return net, inputs, False
+
+
+# Cached activations of one stack level of a group for exact backpropagation:
+# each network's (T, B, D) input batch and outputs, and the level's scan arrays.
 LayerTrace = namedtuple("LayerTrace", ("inputs", "outputs", "cache"), defaults=(None,))
-# Everything the backward pass needs, plus a copy of the parameters so a
-# trace can detect that the network changed underneath it.
+# Everything the backward pass needs, per network, plus a copy of each one's
+# parameters so a trace can detect that a network changed underneath it; a
+# read-only vector that owns its data is kept as is, as nothing writes to it
+# without first making it writeable again.
 ForwardTrace = namedtuple("ForwardTrace", ("layers", "probs", "rev", "params"))
 
 
-def _layer_forward_trace(layer: Layer, P: np.ndarray, rev: np.ndarray) -> LayerTrace:
-    if layer.kind == "mlp":
-        return LayerTrace(inputs=P, outputs=np.tanh(_affine(P, *layer.operands())))
-    Wx, Wh, wc, b = layer.operands()
-    K = Wx.shape[0]
-    # input projections are per step, so each direction's can be taken in
-    # input order and reordered after: 4H values per step instead of D
-    A = np.stack([_oriented(_affine(P, Wx[k], b[k]), rev, k) for k in range(K)], axis=1)
-    cache = _scan(A, Wh, wc)
-    outputs = np.concatenate([_oriented(cache["h"][:, k], rev, k) for k in range(K)], axis=2)
-    return LayerTrace(inputs=P, outputs=outputs, cache=cache)
+def _layer_forward(layers: list[Layer], inputs, revs: list[np.ndarray], trace: bool) -> LayerTrace:
+    """One stack level of a group: ``layers[m]`` over network m's (T_m, B, D)
+    batch, read once from ``inputs``. A recurrent level runs one scan for the
+    group, each network's cells padded at their ends to the longest T_m.
+    Inputs and scan arrays are kept only when ``trace``."""
+    K = {"mlp": 0, "lstm": 1, "blstm": 2}[layers[0].kind]  # directions
+    A = np.zeros((max(map(len, revs)), K * len(layers), revs[0].shape[1], 4 * layers[0].hidden))
+    kept, outputs = [], []
+    for m, (layer, P, rev) in enumerate(zip(layers, inputs, revs)):
+        kept.append(P if trace else None)
+        if not K:
+            outputs.append(np.tanh(_affine(P, *layer.operands())))
+            continue
+        Wx, _, _, b = layer.operands()
+        # input projections are per step, so each direction's can be taken in
+        # input order and reordered after: 4H values per step instead of D
+        for k in range(K):
+            A[: len(rev), m * K + k] = _oriented(_affine(P, Wx[k], b[k]), rev, k)
+    if not K:
+        return LayerTrace(kept, outputs)
+    ops = [layer.operands() for layer in layers]
+    cache = _scan(A, *(np.concatenate([o[j] for o in ops]) for j in (1, 2)), trace)
+    cache["T"], h = [len(rev) for rev in revs], cache["h"]
+    outputs = [
+        np.concatenate([_oriented(h[: len(rev), m * K + k], rev, k) for k in range(K)], axis=2)
+        for m, rev in enumerate(revs)
+    ]
+    return LayerTrace(kept, outputs, cache if trace else None)
 
 
 def _checked(X, dim: int) -> np.ndarray:
-    """X as a finite float64 (T, dim) array with T >= 1, else ValueError."""
-    X = np.asarray(X, dtype=np.float64)
+    """X as a finite C-ordered float64 (T, dim) array with T >= 1, else ValueError."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("features must be a non-empty (T, dim) array")
     if X.shape[1] != dim:
@@ -323,55 +377,89 @@ def _checked(X, dim: int) -> np.ndarray:
     return X
 
 
-def _forward(net: Network, Xs: list[np.ndarray], traces: list | None = None):
-    """Class probabilities (T, B, M) of checked sequences zero-padded at their
-    ends to the longest, and the (T, B) reversal index. Every scan is causal
-    in its own direction, so padding never reaches a real step. Each layer's
-    trace is appended to ``traces`` when given, else dropped once its outputs
-    are handed to the next layer."""
-    rev = _reversal([len(X) for X in Xs])
-    P = np.zeros((rev.shape[0], len(Xs), net.spec.input_dim))
+def _padded(Xs: list[np.ndarray], T: int) -> np.ndarray:
+    """Sequences as a (T, B, D) batch zero-padded at their ends; one is a view."""
+    if len(Xs) == 1:
+        return Xs[0][:, None]
+    P = np.zeros((T, len(Xs), Xs[0].shape[1]))
     for b, X in enumerate(Xs):
         P[: len(X), b] = X
-    for layer in net.layers:
-        trace = _layer_forward_trace(layer, P, rev)
+    return P
+
+
+def _forward(nets, batches: list[list[np.ndarray]], traces: list | None = None):
+    """Class probabilities (T_m, B, M) of each network ``nets[m]`` over its
+    checked sequences ``batches[m]``, zero-padded at their ends to the
+    longest, and its (T_m, B) reversal index. Every scan is causal in its own
+    direction, so padding never reaches a real step. Each level's trace is
+    appended to ``traces`` when given, else dropped once its outputs are
+    handed to the next level."""
+    revs = [_reversal([len(X) for X in Xs]) for Xs in batches]
+    P = (_padded(Xs, len(rev)) for Xs, rev in zip(batches, revs))
+    for depth in range(len(nets[0].layers)):
+        trace = _layer_forward([net.layers[depth] for net in nets], P, revs, traces is not None)
         if traces is not None:
             traces.append(trace)
         P, trace = trace.outputs, None
-    logits = _affine(P, net.params["out.W"], net.params["out.b"])
-    e = np.exp(logits - logits.max(axis=2, keepdims=True))
-    return e / e.sum(axis=2, keepdims=True), rev
+    probs = []
+    for net, X in zip(nets, P):
+        logits = _affine(X, net.params["out.W"], net.params["out.b"])
+        e = np.exp(logits - logits.max(axis=2, keepdims=True))
+        probs.append(e / e.sum(axis=2, keepdims=True))
+    return probs, revs
 
 
-def network_forward(net: Network, features: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Class probabilities for a whole sequence plus the backward-pass trace."""
+def network_forward(net, features):
+    """Class probabilities for a whole sequence plus the backward-pass trace.
+    A tuple of networks with one sequence each runs as one group and gives
+    the tuple of each network's probabilities, as alone, and one trace."""
+    nets, (Xs,), single = as_group(net, features)
     traces: list[LayerTrace] = []
-    probs, rev = _forward(net, [_checked(features, net.spec.input_dim)], traces)
-    trace = ForwardTrace(layers=traces, probs=probs[:, 0], rev=rev, params=net.flat.copy())
-    return probs[:, 0], trace
+    Xs = [[_checked(X, n.spec.input_dim)] for n, X in zip(nets, Xs)]
+    probs, revs = _forward(nets, Xs, traces)
+    probs = [P[:, 0] for P in probs]
+    flats = [n.flat for n in nets]
+    params = [f if f.flags.owndata and not f.flags.writeable else f.copy() for f in flats]
+    trace = ForwardTrace(layers=traces, probs=probs, rev=revs, params=params)
+    return (probs[0] if single else tuple(probs)), trace
 
 
 # Most padded steps (longest x count) in one lockstep batch: scoring holds
-# ~9 KB per padded step for blstm@32 on 520 features, so ~18 MB at most.
+# ~4 KB per padded step plus ~4 KB per network of a group for blstm@32 on
+# 520 features, so ~17 MB at most alone and ~42 MB for a group of four.
 SCORE_CHUNK = 2048
 
 
-def network_probs(net: Network, sequences: list[np.ndarray]) -> list[np.ndarray]:
-    """Class probabilities of several sequences, scored in lockstep in groups
-    of similar length: sorted by length, each group at most ``SCORE_CHUNK``
-    padded steps or one sequence, so memory stays bounded and padding small."""
-    Xs = [_checked(X, net.spec.input_dim) for X in sequences]
-    order = sorted(range(len(Xs)), key=lambda s: len(Xs[s]))
-    out = [None] * len(Xs)
-    while order:
-        n = 1
-        while n < len(order) and len(Xs[order[n]]) * (n + 1) <= SCORE_CHUNK:
-            n += 1
-        group, order = order[:n], order[n:]
-        probs, _ = _forward(net, [Xs[s] for s in group])
-        for b, s in enumerate(group):
-            out[s] = probs[: len(Xs[s]), b]
-    return out
+def network_probs(net, sequences):
+    """Class probabilities of several sequences, scored in lockstep in batches
+    of similar length: sorted by length, each batch at most ``SCORE_CHUNK``
+    padded steps or one sequence, so memory stays bounded and padding small.
+    No trace is kept. A tuple of networks with a list of sequences each gives
+    a tuple of lists: each network's sequences are batched as alone, and its
+    i-th batch shares one scan with the other networks' i-th batches of its size.
+    """
+    nets, (seqs,), single = as_group(net, sequences)
+    Xs = [[_checked(X, n.spec.input_dim) for X in S] for n, S in zip(nets, seqs)]
+    batches = [[] for _ in nets]
+    for own, S in zip(batches, Xs):
+        order = sorted(range(len(S)), key=lambda s: len(S[s]))
+        while order:
+            n = 1
+            while n < len(order) and len(S[order[n]]) * (n + 1) <= SCORE_CHUNK:
+                n += 1
+            own.append(order[:n])
+            order = order[n:]
+    out = [[None] * len(S) for S in Xs]
+    for i in range(max(map(len, batches))):
+        live = [m for m, own in enumerate(batches) if i < len(own)]
+        for size in sorted({len(batches[m][i]) for m in live}):
+            group = [m for m in live if len(batches[m][i]) == size]
+            members = [nets[m] for m in group]
+            probs, _ = _forward(members, [[Xs[m][s] for s in batches[m][i]] for m in group])
+            for m, P in zip(group, probs):
+                for b, s in enumerate(batches[m][i]):
+                    out[m][s] = P[: len(Xs[m][s]), b]
+    return out[0] if single else tuple(out)
 
 
 LOSS_EPS = 1e-12
@@ -409,49 +497,66 @@ def _loss_backward(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.where((P > LOSS_EPS) & (P < 1.0 - LOSS_EPS), dP, 0.0)
 
 
-def _layer_backward(
-    layer: Layer, trace: LayerTrace, dOut: np.ndarray, rev: np.ndarray, input_grad: bool
-):
-    """Gradient of one layer: returns (dInputs, the layer's flat gradient block);
-    dInputs is None unless ``input_grad``, as the first layer's is never used."""
-    if layer.kind == "mlp":
-        dA = dOut * (1.0 - trace.outputs**2)
-        T, B, H = dA.shape
-        dA2 = dA.reshape(T * B, H)
-        grad = np.concatenate([(dA2.T @ trace.inputs.reshape(T * B, -1)).ravel(), dA2.sum(axis=0)])
-        return (dA2 @ layer.operands()[0]).reshape(T, B, -1) if input_grad else None, grad
-    Wx, Wh, wc, _ = layer.operands()
-    K, H = Wh.shape[0], Wh.shape[2]
-    T, B, D = trace.inputs.shape
-    dHs = np.stack([_oriented(dOut[..., k * H : (k + 1) * H], rev, k) for k in range(K)], axis=1)
+def _layer_backward(layers: list[Layer], trace: LayerTrace, dOuts, revs, blocks, input_grad: bool):
+    """Gradients of one stack level of a group: puts each network's flat
+    gradient block first in its list in ``blocks`` and returns each one's
+    dInputs, None unless ``input_grad``, as the first level's are never used."""
+    dPs = []
+    if layers[0].kind == "mlp":
+        for layer, P, out, dOut, own in zip(layers, trace.inputs, trace.outputs, dOuts, blocks):
+            dA = dOut * (1.0 - out**2)
+            T, B, H = dA.shape
+            dA2 = dA.reshape(T * B, H)
+            own.insert(0, np.concatenate([(dA2.T @ P.reshape(T * B, -1)).ravel(), dA2.sum(axis=0)]))
+            dPs.append((dA2 @ layer.operands()[0]).reshape(T, B, -1) if input_grad else None)
+        return dPs
+    ops = [layer.operands() for layer in layers]
+    K, H = ops[0][0].shape[0], layers[0].hidden
+    dHs = np.zeros(trace.cache["h"].shape)
+    for m, (dOut, rev) in enumerate(zip(dOuts, revs)):
+        for k in range(K):
+            dHs[: len(rev), m * K + k] = _oriented(dOut[..., k * H : (k + 1) * H], rev, k)
+    Wh, wc = (np.concatenate([o[j] for o in ops]) for j in (1, 2))
     dA, grad = _scan_backward(trace.cache, Wh, wc, dHs)
-    dA_in = np.stack([_oriented(dA[:, k], rev, k).reshape(T * B, 4 * H) for k in range(K)])
-    dWx = np.matmul(dA_in.transpose(0, 2, 1), trace.inputs.reshape(T * B, D))
-    dP = np.matmul(dA_in, Wx).sum(axis=0).reshape(T, B, D) if input_grad else None
-    return dP, np.concatenate([dWx.reshape(K, -1), grad], axis=1).ravel()
+    for m, ((Wx, *_), P, rev, own) in enumerate(zip(ops, trace.inputs, revs, blocks)):
+        T, B, D = P.shape
+        own_dA = [_oriented(dA[:T, m * K + k], rev, k) for k in range(K)]
+        dA_in = np.stack([a.reshape(T * B, 4 * H) for a in own_dA])
+        dWx = np.matmul(dA_in.transpose(0, 2, 1), P.reshape(T * B, D))
+        dPs.append(np.matmul(dA_in, Wx).sum(axis=0).reshape(T, B, D) if input_grad else None)
+        block = np.concatenate([dWx.reshape(K, -1), grad[m * K : (m + 1) * K]], axis=1)
+        own.insert(0, block.ravel())
+    return dPs
 
 
-def network_backward(net: Network, trace: ForwardTrace, labels: np.ndarray) -> ParamViews:
+def network_backward(net, trace: ForwardTrace, labels):
     """Exact gradients of the loss for every parameter, keyed like ``net.params``.
 
     The values are views into one vector (``.flat``) laid out like the
-    network's. Rejects a trace whose parameter copy no longer equals the
-    network: gradients against mutated parameters would be silently wrong.
-    The comparison is of bit patterns, so a NaN parameter equals its copy.
+    network's. A group's trace takes the tuple of networks and one label
+    array each, and gives a tuple of gradients. Rejects a trace whose
+    parameter copy no longer equals its network: gradients against mutated
+    parameters would be silently wrong. The comparison is of bit patterns,
+    so a NaN parameter equals its copy.
     """
-    if not np.array_equal(net.flat.view(np.int64), trace.params.view(np.int64)):
+    nets, (Ys,), single = as_group(net, labels)
+    if len(nets) != len(trace.params) or not all(
+        np.array_equal(n.flat.view(np.int64), p.view(np.int64)) for n, p in zip(nets, trace.params)
+    ):
         raise ValueError("stale trace: network parameters changed since forward pass")
-    P = trace.probs
-    Y = _check_one_hot(labels, P.shape)
-    dP = _loss_backward(P, Y)
-    # softmax jacobian: dz = p * (dp - <dp, p>)
-    dZ = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-    blocks = [(dZ.T @ trace.layers[-1].outputs[:, 0]).ravel(), dZ.sum(axis=0)]
-    dH = (dZ @ net.params["out.W"])[:, None]
-    for k in range(len(net.layers) - 1, -1, -1):
-        dH, grad = _layer_backward(net.layers[k], trace.layers[k], dH, trace.rev, input_grad=k > 0)
-        blocks.insert(0, grad)
-    return ParamViews(net.spec, np.concatenate(blocks))
+    blocks, dHs = [], []
+    for n, P, Y, top in zip(nets, trace.probs, Ys, trace.layers[-1].outputs):
+        dP = _loss_backward(P, _check_one_hot(Y, P.shape))
+        # softmax jacobian: dz = p * (dp - <dp, p>)
+        dZ = P * (dP - (dP * P).sum(axis=1, keepdims=True))
+        blocks.append([(dZ.T @ top[:, 0]).ravel(), dZ.sum(axis=0)])
+        dHs.append((dZ @ n.params["out.W"])[:, None])
+    for k in range(len(trace.layers) - 1, -1, -1):
+        levels = [n.layers[k] for n in nets]
+        dHs = _layer_backward(levels, trace.layers[k], dHs, trace.rev, blocks, k > 0)
+    # each network's blocks are released as soon as they are joined
+    grads = [ParamViews(n.spec, np.concatenate(blocks.pop(0))) for n in nets]
+    return grads[0] if single else tuple(grads)
 
 
 def predict_stages(probabilities: np.ndarray) -> np.ndarray:

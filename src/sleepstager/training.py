@@ -4,9 +4,9 @@ Training operates on whole sequences: one forward/backward/update cycle per
 night. Regularization is weight noise in the Graves style: before each
 sequence's gradient computation every weight (not bias) is perturbed with
 fresh Normal(0, sigma^2) noise, the gradient is taken at the perturbed
-point, the weights are restored from saved copies, and the update is
-applied to the clean values. Restoring from copies matters: adding and
-subtracting the same noise is not bit-identical in floating point.
+point, a copy, and the update is applied to the clean values, which the
+noise never touched. Perturbing a copy matters: adding and subtracting
+the same noise is not bit-identical in floating point.
 
 All randomness (init, shuffling, noise) flows from counter-based Philox
 generators, so a (seed, config, data) triple reproduces training bit for
@@ -25,6 +25,7 @@ from .network import (
     NetSpec,
     Network,
     ParamViews,
+    as_group,
     loss,
     network_backward,
     network_forward,
@@ -76,25 +77,47 @@ def init_params(spec: NetSpec, seed: int, init_std: float = 0.1) -> Network:
 
 
 def mean_loss(net: Network, sequences: list[Sequence]) -> float:
-    """Noise-free average loss over a split, every sequence scored in lockstep."""
-    probs = network_probs(net, [X for X, _ in sequences])
-    return float(np.mean([loss(P, Y) for P, (_, Y) in zip(probs, sequences)]))
+    """Noise-free average loss over a split, every sequence scored in lockstep.
+    A tuple of networks with a split each is scored as a group (see
+    ``network_probs``) and gives a tuple of losses."""
+    nets, (splits,), single = as_group(net, sequences)
+    probs = network_probs(nets, [[X for X, _ in split] for split in splits])
+    out = tuple(
+        float(np.mean([loss(P, Y) for P, (_, Y) in zip(own, split)]))
+        for own, split in zip(probs, splits)
+    )
+    return out[0] if single else out
 
 
-def _sgd_pass(net: Network, sequences: list[Sequence], cfg: TrainConfig, rng: np.random.Generator):
-    """One pass: visit sequences in a fresh shuffled order, update per sequence."""
-    order = rng.permutation(len(sequences))
-    weights = net.weight_mask() if cfg.weight_noise_std > 0 else None
-    for s in order:
-        X, Y = sequences[s]
-        if weights is not None:
-            clean = net.flat.copy()
-            net.flat[weights] += rng.normal(0.0, cfg.weight_noise_std, size=weights.sum())
-        _, trace = network_forward(net, X)
-        grads = network_backward(net, trace, Y)
-        if weights is not None:
-            net.flat[:] = clean
-        net.flat -= cfg.learning_rate * grads.flat
+# Most networks ``cross_validate`` trains as one group: each keeps its
+# sequences and its work and best parameters resident until the group is done.
+LOCKSTEP_FOLDS = 4
+
+
+def _sgd_pass(nets, splits, cfgs, rngs):
+    """One pass of each network: visit its sequences in a fresh shuffled order,
+    update per sequence. Step s of every network with an s-th sequence is one
+    group forward and backward; weight noise perturbs a read-only copy, which
+    the trace keeps without copying again."""
+    orders = [rng.permutation(len(split)) for rng, split in zip(rngs, splits)]
+    masks = [n.weight_mask() if c.weight_noise_std > 0 else None for n, c in zip(nets, cfgs)]
+    for s in range(max(map(len, orders))):
+        step = [m for m, order in enumerate(orders) if s < len(order)]
+        group = []
+        for m in step:
+            net = nets[m]
+            if masks[m] is not None:
+                flat = net.flat.copy()
+                flat[masks[m]] += rngs[m].normal(0.0, cfgs[m].weight_noise_std, size=masks[m].sum())
+                flat.flags.writeable = False
+                net = Network(net.spec, flat)
+            group.append(net)
+        seqs = [splits[m][orders[m][s]] for m in step]
+        _, trace = network_forward(group, [X for X, _ in seqs])
+        grads = network_backward(group, trace, [Y for _, Y in seqs])
+        for m, g in zip(step, grads):
+            nets[m].flat -= cfgs[m].learning_rate * g.flat
+        group = trace = grads = None  # not held through the next step's forward pass
 
 
 def train(
@@ -111,33 +134,40 @@ def train(
     validation pass. Stops after ``patience`` passes without improvement
     or at ``max_passes``. Returns (best network, [(train_loss, val_loss)]
     per completed pass), all finite: a non-finite pass raises ``NumericError``.
+
+    Tuples of networks, splits and configs, one each, train as a group and
+    give tuples of best networks and histories, each what that network gets
+    alone: step s of each pass and the scoring of each split run as one group
+    call, and a network that stops leaves the group. A ``NumericError`` names
+    the diverged network's place in the tuple as ``member``.
     """
-    if not train_seqs or not val_seqs:
+    nets, (trains, vals, cfgs), single = as_group(net, train_seqs, val_seqs, cfg)
+    if not all(trains) or not all(vals):
         raise ValueError("train and validation splits must be non-empty")
-    work = net.clone()
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    best = work.clone()
-    best_val = np.inf
-    since_best = 0
-    history: list[tuple[float, float]] = []
-    for _ in range(cfg.max_passes):
-        _sgd_pass(work, train_seqs, cfg, rng)
-        train_loss = mean_loss(work, train_seqs)
-        val_loss = mean_loss(work, val_seqs)
-        history.append((train_loss, val_loss))
-        bad = np.count_nonzero(~np.isfinite(work.flat))
-        if bad or not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            msg = f"train loss {train_loss}, val loss {val_loss}, {bad} non-finite parameter(s)"
-            raise NumericError(f"training diverged in pass {len(history)}: {msg}")
-        if val_loss < best_val:
-            best_val = val_loss
-            best = work.clone()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
-    return best, history
+    work = [n.clone() for n in nets]
+    rngs = [np.random.Generator(np.random.Philox(c.seed)) for c in cfgs]
+    best, best_val, since_best = [None] * len(nets), [np.inf] * len(nets), [0] * len(nets)
+    histories: tuple[list[tuple[float, float]], ...] = tuple([] for _ in nets)
+    active = list(range(len(nets)))
+    while active:
+        group = [work[m] for m in active]
+        _sgd_pass(group, *([xs[m] for m in active] for xs in (trains, cfgs, rngs)))
+        losses = (mean_loss(group, [split[m] for m in active]) for split in (trains, vals))
+        for m, train_loss, val_loss in zip(active, *losses):
+            histories[m].append((train_loss, val_loss))
+            bad = np.count_nonzero(~np.isfinite(work[m].flat))
+            if bad or not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                msg = f"train loss {train_loss}, val loss {val_loss}, {bad} non-finite parameter(s)"
+                err = NumericError(f"training diverged in pass {len(histories[m])}: {msg}")
+                err.member = m
+                raise err
+            if val_loss < best_val[m]:
+                best_val[m], best[m], since_best[m] = val_loss, work[m].clone(), 0
+            else:
+                since_best[m] += 1
+        active = [m for m in active if since_best[m] < cfgs[m].patience]
+        active = [m for m in active if len(histories[m]) < cfgs[m].max_passes]
+    return (best[0], histories[0]) if single else (tuple(best), histories)
 
 
 def finite_difference_gradients(

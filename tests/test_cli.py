@@ -4,13 +4,15 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sleepstager import cli
+from sleepstager import cli, evaluate
 from sleepstager.config import RunConfig
 from sleepstager.evaluate import fit_model
 from sleepstager.features_low import FrameConfig, recording_low_features
@@ -481,6 +483,55 @@ def test_diverged_training_exits_3(cohort_dir, tmp_path, capsys, setting):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: training diverged in pass 1: "), err
     assert not model.exists()
+    assert os.listdir(tmp_path) == []
+
+
+def test_numeric_failure_is_one_line_on_stderr(cohort_dir, tmp_path):
+    # in a process of its own: pytest would capture the numpy warnings
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    argv = ["train", cohort_dir, str(tmp_path / "m.bin")] + FAST + ["--set", "init_std=1e308"]
+    cmd = [sys.executable, "-m", "sleepstager.cli"] + argv
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric failure: training diverged in pass 1: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_a_fold_diverging_in_its_group_names_round_fold_and_pass(
+    cohort_dir, tmp_path, capsys, monkeypatch
+):
+    # five folds train as a group of four and a group of one; the third
+    # fold's network starts non-finite, the others are healthy
+    calls = []
+    real = evaluate.init_params
+
+    def poisoned(spec, seed, init_std):
+        net = real(spec, seed=seed, init_std=init_std)
+        calls.append(seed)
+        if len(calls) == 3:
+            net.flat[:] = np.nan
+        return net
+
+    monkeypatch.setattr(evaluate, "init_params", poisoned)
+    out = [str(tmp_path / "cv.csv"), str(tmp_path / "cv.json")]
+    argv = ["cv", cohort_dir, "--out-csv", out[0], "--out-json", out[1]]
+    argv += ["--set", "folds=5", "--set", "rounds=1"]
+    assert cli.main(argv + FAST) == 3
+    err = capsys.readouterr().err
+    expected = "numeric failure: round 0, fold 2: training diverged in pass 1: train loss nan"
+    assert err.startswith(expected), err
+    assert len(calls) == 4 and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("units", ["10000000000000000000", "1000000000"])
+def test_a_network_numpy_cannot_allocate_is_a_config_error(cohort_dir, tmp_path, capsys, units):
+    # numpy rejects both sizes before allocating anything
+    model = tmp_path / "m.bin"
+    assert cli.main(["train", cohort_dir, str(model)] + FAST + ["--set", f"units={units}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot allocate a network of "), err
+    assert err.count("\n") == 1
     assert os.listdir(tmp_path) == []
 
 

@@ -51,7 +51,8 @@ def make_layer(kind, fwd=None, bwd=None, mlp=None):
 def layer_forward(layer, inputs):
     """Outputs of one layer over one checked sequence, shape (T, layer output dim)."""
     X = network._checked(inputs, layer.inputs)
-    return network._layer_forward_trace(layer, X[:, None], network._reversal([len(X)])).outputs[:, 0]
+    trace = network._layer_forward([layer], [X[:, None]], [network._reversal([len(X)])], True)
+    return trace.outputs[0][:, 0]
 
 
 def zero_lstm_params(d, h):
@@ -389,9 +390,10 @@ class TestPerGateOracle:
         batches = []
         forward = network._forward
 
-        def recording_forward(n, Xs, *rest):
-            batches.append([len(X) for X in Xs])
-            return forward(n, Xs, *rest)
+        def recording_forward(nets, Xs, *rest):
+            (own,) = Xs  # one network: its batch alone
+            batches.append([len(X) for X in own])
+            return forward(nets, Xs, *rest)
 
         monkeypatch.setattr(network, "SCORE_CHUNK", 16)
         monkeypatch.setattr(network, "_forward", recording_forward)
