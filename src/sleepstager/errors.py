@@ -25,5 +25,9 @@ class DataValidationError(SleepstagerError, ValueError):
 
 class NumericError(SleepstagerError):
     """Numeric breakdown: non-finite training values, failed gradient check.
-    Training sets ``member``, the diverged network's place in its group."""
+    ``member`` is the diverged network's place in its training group, if any."""
     exit_code, label = 3, "numeric failure"
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member

@@ -20,7 +20,7 @@ from .features_low import FrameConfig, recording_low_features
 from .ingest import Recording, _fmt, class_names, stages_to_indices
 from .network import NetSpec, network_forward, predict_stages
 from .pipeline import FittedModel, FittedPipeline, fit_pipeline, make_sequences
-from .training import LOCKSTEP_FOLDS, TrainConfig, init_params, train
+from .training import TrainConfig, init_params, lockstep_size, train
 
 Split = tuple[list[np.ndarray], list[np.ndarray]]  # (low features, stage indices) per recording
 
@@ -162,6 +162,7 @@ def cross_validate(
     stats, network) comes from the k - 2 training folds of each iteration.
     Per-iteration seeds are spawned from (seed, round, fold) so results
     never depend on execution order; fold shuffling uses seed + round.
+    The fits train in (round, fold) order in groups of ``lockstep_size``.
     """
     if k < 3:
         raise ValueError(f"k={k}: need a test, a validation and a training fold (k >= 3)")
@@ -187,8 +188,9 @@ def cross_validate(
             plan.append((round_index, f, folds[f], folds[v], train_ids, [int(s) for s in seeds]))
 
     results: list[FoldResult] = []
-    for start in range(0, len(plan), LOCKSTEP_FOLDS):
-        group = plan[start : start + LOCKSTEP_FOLDS]
+    size = lockstep_size(net_layers)
+    for start in range(0, len(plan), size):
+        group = plan[start : start + size]
         pipelines, jobs = zip(*(
             _fit_job(split(tr), split(va), num_words, net_layers, train_cfg, num_classes, sd)
             for *_, va, tr, sd in group
@@ -196,6 +198,8 @@ def cross_validate(
         try:
             nets, histories = train(*zip(*jobs))
         except NumericError as exc:
+            if exc.member is None:
+                raise
             round_index, fold_index = group[exc.member][:2]
             raise NumericError(f"round {round_index}, fold {fold_index}: {exc}") from exc
         del jobs  # the group's sequences and initial networks, before test scoring

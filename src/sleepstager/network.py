@@ -329,9 +329,7 @@ def as_group(net, *inputs):
 # each network's (T, B, D) input batch and outputs, and the level's scan arrays.
 LayerTrace = namedtuple("LayerTrace", ("inputs", "outputs", "cache"), defaults=(None,))
 # Everything the backward pass needs, per network, plus a copy of each one's
-# parameters so a trace can detect that a network changed underneath it; a
-# read-only vector that owns its data is kept as is, as nothing writes to it
-# without first making it writeable again.
+# parameters so a trace can detect that a network changed underneath it.
 ForwardTrace = namedtuple("ForwardTrace", ("layers", "probs", "rev", "params"))
 
 
@@ -409,17 +407,18 @@ def _forward(nets, batches: list[list[np.ndarray]], traces: list | None = None):
     return probs, revs
 
 
-def network_forward(net, features):
+def network_forward(net, features, owned: bool = False):
     """Class probabilities for a whole sequence plus the backward-pass trace.
     A tuple of networks with one sequence each runs as one group and gives
-    the tuple of each network's probabilities, as alone, and one trace."""
+    the tuple of each network's probabilities, as alone, and one trace.
+    The trace keeps a copy of each network's parameters; ``owned`` says they
+    were made for this call and nothing changes them, so it keeps them as is."""
     nets, (Xs,), single = as_group(net, features)
     traces: list[LayerTrace] = []
     Xs = [[_checked(X, n.spec.input_dim)] for n, X in zip(nets, Xs)]
     probs, revs = _forward(nets, Xs, traces)
     probs = [P[:, 0] for P in probs]
-    flats = [n.flat for n in nets]
-    params = [f if f.flags.owndata and not f.flags.writeable else f.copy() for f in flats]
+    params = [n.flat if owned else n.flat.copy() for n in nets]
     trace = ForwardTrace(layers=traces, probs=probs, rev=revs, params=params)
     return (probs[0] if single else tuple(probs)), trace
 

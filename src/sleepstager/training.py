@@ -92,28 +92,36 @@ def mean_loss(net: Network, sequences: list[Sequence]) -> float:
 # Most networks ``cross_validate`` trains as one group: each keeps its
 # sequences and its work and best parameters resident until the group is done.
 LOCKSTEP_FOLDS = 4
+# Widest layer trained in lockstep. Lockstep saves Python work per time step;
+# in wider layers a step's cost is streaming the stacked recurrent weights,
+# which it does not save (measured per cv op at 4 folds, 240-epoch nights:
+# -13 % at 64 units, +20 % at 128, +38 % at 400), and it holds every fold's
+# parameters at once.
+LOCKSTEP_MAX_UNITS = 64
+
+
+def lockstep_size(layers) -> int:
+    """How many networks of this layer stack ``cross_validate`` trains as one group."""
+    return LOCKSTEP_FOLDS if max(units for _, units in layers) <= LOCKSTEP_MAX_UNITS else 1
 
 
 def _sgd_pass(nets, splits, cfgs, rngs):
     """One pass of each network: visit its sequences in a fresh shuffled order,
     update per sequence. Step s of every network with an s-th sequence is one
-    group forward and backward; weight noise perturbs a read-only copy, which
-    the trace keeps without copying again."""
+    group forward and backward at a copy of each one's parameters, perturbed
+    by weight noise; the trace keeps that copy, which nothing else holds."""
     orders = [rng.permutation(len(split)) for rng, split in zip(rngs, splits)]
     masks = [n.weight_mask() if c.weight_noise_std > 0 else None for n, c in zip(nets, cfgs)]
     for s in range(max(map(len, orders))):
         step = [m for m, order in enumerate(orders) if s < len(order)]
         group = []
         for m in step:
-            net = nets[m]
+            flat = nets[m].flat.copy()
             if masks[m] is not None:
-                flat = net.flat.copy()
                 flat[masks[m]] += rngs[m].normal(0.0, cfgs[m].weight_noise_std, size=masks[m].sum())
-                flat.flags.writeable = False
-                net = Network(net.spec, flat)
-            group.append(net)
+            group.append(Network(nets[m].spec, flat))
         seqs = [splits[m][orders[m][s]] for m in step]
-        _, trace = network_forward(group, [X for X, _ in seqs])
+        _, trace = network_forward(group, [X for X, _ in seqs], owned=True)
         grads = network_backward(group, trace, [Y for _, Y in seqs])
         for m, g in zip(step, grads):
             nets[m].flat -= cfgs[m].learning_rate * g.flat
@@ -158,9 +166,7 @@ def train(
             bad = np.count_nonzero(~np.isfinite(work[m].flat))
             if bad or not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 msg = f"train loss {train_loss}, val loss {val_loss}, {bad} non-finite parameter(s)"
-                err = NumericError(f"training diverged in pass {len(histories[m])}: {msg}")
-                err.member = m
-                raise err
+                raise NumericError(f"training diverged in pass {len(histories[m])}: {msg}", m)
             if val_loss < best_val[m]:
                 best_val[m], best[m], since_best[m] = val_loss, work[m].clone(), 0
             else:

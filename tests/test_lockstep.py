@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sleepstager import network
+from sleepstager import evaluate, network, training
 from sleepstager.errors import NumericError
 from sleepstager.evaluate import cross_validate, fit_model, kfold_split
 from sleepstager.features_low import FrameConfig, recording_low_features
@@ -168,20 +168,26 @@ def test_stale_guard_is_per_network():
         network_backward(nets[:2], trace, tuple(Y for _, Y in seqs[:2]))
 
 
-def test_trace_keeps_a_read_only_vector_without_copying_it():
+def test_trace_copies_parameters_unless_the_caller_owns_them():
     spec = NetSpec(input_dim=D, num_classes=M, layers=(("lstm", 2),))
+    X, Y = night(np.random.default_rng(6), 5)
+    # a read-only vector can be made writeable again and changed
     frozen = init_params(spec, seed=6).flat.copy()
     frozen.flags.writeable = False
     net = network.Network(spec, frozen)
-    X, Y = night(np.random.default_rng(6), 5)
     _, trace = network_forward(net, X)
-    assert trace.params[0] is frozen
-    with pytest.raises(ValueError):
-        net.params["out.b"][0] = 1.0
+    assert trace.params[0] is not frozen
+    frozen.flags.writeable = True
+    frozen[0] += 1.0
+    with pytest.raises(ValueError, match="stale"):
+        network_backward(net, trace, Y)
+    owned = init_params(spec, seed=6)
+    _, owned_trace = network_forward(owned, X, owned=True)
+    assert owned_trace.params[0] is owned.flat
     alone = init_params(spec, seed=6)
     _, alone_trace = network_forward(alone, X)
     expected = network_backward(alone, alone_trace, Y).flat
-    assert same_bits(network_backward(net, trace, Y).flat, expected)
+    assert same_bits(network_backward(owned, owned_trace, Y).flat, expected)
 
 
 def test_a_group_needs_one_input_per_network_and_one_stack():
@@ -245,3 +251,35 @@ def test_cross_validation_folds_equal_fits_made_alone():
         cm = np.zeros((4, 4), dtype=np.int64)
         np.add.at(cm, (ref, np.concatenate(preds)), 1)
         np.testing.assert_array_equal(fold.cm, cm)
+
+
+def cv_args(units):
+    recs = generate_cohort(SynthConfig(n_recordings=5, epochs_per_recording=8, seed=9))
+    cfg = TrainConfig(learning_rate=0.2, max_passes=1)
+    return recs, FrameConfig(frame_epochs=4), 6, (("lstm", units),), cfg
+
+
+@pytest.mark.parametrize("units, sizes", [(64, [4, 1]), (65, [1] * 5)])
+def test_only_narrow_layers_train_in_lockstep(monkeypatch, units, sizes):
+    seen = []
+
+    def recording_train(nets, *rest):
+        seen.append(len(nets))
+        return train(nets, *rest)
+
+    monkeypatch.setattr(evaluate, "train", recording_train)
+    assert training.lockstep_size((("mlp", 8), ("blstm", units))) == sizes[0]
+    cross_validate(*cv_args(units), k=5, rounds=1, seed=9, num_classes=4)
+    assert seen == sizes
+
+
+def test_a_numeric_error_naming_no_member_passes_through_cross_validation(monkeypatch):
+    fault = NumericError("not from a group member")
+
+    def failing_train(*_):
+        raise fault
+
+    monkeypatch.setattr(evaluate, "train", failing_train)
+    with pytest.raises(NumericError) as err:
+        cross_validate(*cv_args(2), k=5, rounds=1, seed=9, num_classes=4)
+    assert err.value is fault
