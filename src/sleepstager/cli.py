@@ -40,7 +40,7 @@ from .evaluate import (
 )
 from .features_low import recording_low_features
 from .features_mid import kmeans_fit
-from .ingest import _fmt, load_cohort, save_recording, stages_to_indices
+from .ingest import _fmt, load_cohort, save_recording, stages_to_indices, write_csv
 from .modelio import load_model, save_dictionary, save_model
 from .network import LAYER_KINDS, NetSpec, layer_stack, network_forward, predict_stages
 from .pipeline import check_num_words
@@ -170,10 +170,8 @@ def cmd_train(args) -> int:
     )
     save_model(model, args.model)
     history_path = args.history or args.model + ".history.csv"
-    with open(history_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("pass,train_loss,val_loss\n")
-        for i, (train_loss, val_loss) in enumerate(history):
-            fh.write(f"{i},{_fmt(train_loss)},{_fmt(val_loss)}\n")
+    rows = [(i, *losses) for i, losses in enumerate(history)]
+    write_csv(history_path, ["pass", "train_loss", "val_loss"], rows)
     best = min(v for _, v in history)
     print(
         f"trained {len(history)} pass(es) on {len(train_recs)} recording(s), "
@@ -203,10 +201,7 @@ def cmd_eval(args) -> int:
     for sid, n, pp, rr, ff in rows:
         print(f"{sid}: {n} epochs P={_fmt(pp)} R={_fmt(rr)} F1={_fmt(ff)}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("subject,epochs,precision,recall,f1\n")
-            for sid, n, pp, rr, ff in rows:
-                fh.write(f"{sid},{n},{_fmt(pp)},{_fmt(rr)},{_fmt(ff)}\n")
+        write_csv(args.out, ["subject", "epochs", "precision", "recall", "f1"], rows)
         print(f"metrics: {args.out}")
     return 0
 
@@ -272,10 +267,7 @@ def cmd_sweep(args) -> int:
             f"{kind} x{depth} @{width}: P={_fmt(report.precision)} "
             f"R={_fmt(report.recall)} F1={_fmt(report.f1)}"
         )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("hidden_type,layers,units,precision,recall,f1\n")
-        for kind, depth, width, p, r, f1 in rows:
-            fh.write(f"{kind},{depth},{width},{_fmt(p)},{_fmt(r)},{_fmt(f1)}\n")
+    write_csv(args.out, ["hidden_type", "layers", "units", "precision", "recall", "f1"], rows)
     print(f"results: {args.out}")
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .features_low import FrameConfig, recording_low_features
-from .ingest import Recording, _fmt, class_names, stages_to_indices
+from .ingest import Recording, class_names, stages_to_indices, write_csv
 from .network import NetSpec, network_forward, predict_stages
 from .pipeline import FittedModel, FittedPipeline, fit_pipeline, make_sequences
 from .training import TrainConfig, init_params, lockstep_size, train
@@ -229,31 +229,18 @@ def cross_validate(
 def write_cv_csv(report: CvReport, path: str) -> None:
     """Per-iteration class-wise and weighted metrics, plus an aggregate row."""
     names = class_names(report.num_classes)
-    cols = ["round", "fold"]
-    for n in names:
-        cols += [f"P_{n}", f"R_{n}", f"F1_{n}"]
-    cols += ["weighted_P", "weighted_R", "weighted_F1"]
-    lines = [",".join(cols)]
-    per_class_rows = []
-    for f in report.folds:
-        p, r, f1 = per_class_metrics(f.cm)
-        per_class_rows.append((p, r, f1))
-        cells = [str(f.round_index), str(f.fold_index)]
-        for j in range(report.num_classes):
-            cells += [_fmt(p[j]), _fmt(r[j]), _fmt(f1[j])]
-        cells += [_fmt(f.precision), _fmt(f.recall), _fmt(f.f1)]
-        lines.append(",".join(cells))
-    cells = ["all", "all"]
-    for j in range(report.num_classes):
-        cells += [
-            _fmt(np.mean([row[0][j] for row in per_class_rows])),
-            _fmt(np.mean([row[1][j] for row in per_class_rows])),
-            _fmt(np.mean([row[2][j] for row in per_class_rows])),
-        ]
-    cells += [_fmt(report.precision), _fmt(report.recall), _fmt(report.f1)]
-    lines.append(",".join(cells))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["round", "fold", *(f"{m}_{n}" for n in names for m in ("P", "R", "F1"))]
+    header += ["weighted_P", "weighted_R", "weighted_F1"]
+    # one row per fold: P, R and F1 of the first class, then of the next, ...
+    per_class = np.array([np.column_stack(per_class_metrics(f.cm)).ravel() for f in report.folds])
+    rows = [
+        (f.round_index, f.fold_index, *cells, f.precision, f.recall, f.f1)
+        for f, cells in zip(report.folds, per_class)
+    ]
+    # a 1-d mean per column: an axis-0 mean sums in another order (other last bits)
+    means = [np.mean(column) for column in per_class.T]
+    rows.append(("all", "all", *means, report.precision, report.recall, report.f1))
+    write_csv(path, header, rows)
 
 
 def summary_document(report: CvReport) -> str:

@@ -86,21 +86,16 @@ def _plusplus_init(
     return centers
 
 
-def kmeans_fit(
-    samples: np.ndarray,
-    k: int,
-    seed: int,
-    max_iters: int = KMEANS_MAX_ITERS,
-    tol: float = KMEANS_TOL,
-) -> Dictionary:
+def kmeans_fit(samples: np.ndarray, k: int, seed: int) -> Dictionary:
     """Lloyd's algorithm with spread-out seeding, deterministic given seed.
 
     Each iteration assigns points to their nearest center (ties to the
     lowest index), records the objective, repairs any empty cluster by
     handing it the point currently farthest from its assigned center, and
-    recomputes centers as assignment means. Stops at max_iters or when the
-    relative objective improvement falls below tol. Samples whose squared
-    distances overflow float64 raise ``NumericError``.
+    recomputes centers as assignment means. Stops after KMEANS_MAX_ITERS
+    iterations or when the relative objective improvement falls below
+    KMEANS_TOL. Samples whose squared distances overflow float64 raise
+    ``NumericError``.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
@@ -119,7 +114,7 @@ def kmeans_fit(
     history: list[float] = []
     prev = np.inf
     iterations = 0
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         assign = np.argmin(_squared_distances(samples, centers, sample_norms), axis=1)
         # objective from direct subtraction so coincident point/center pairs
         # contribute exactly zero (the expanded form leaves ~1e-14 residue)
@@ -147,7 +142,7 @@ def kmeans_fit(
 
         if prev < np.inf:
             rel = (prev - objective) / prev if prev > 0 else 0.0
-            if rel < tol:
+            if rel < KMEANS_TOL:
                 break
         prev = objective
 
@@ -160,20 +155,12 @@ def kmeans_fit(
 
 
 def bow_encode(features: np.ndarray, dictionary: Dictionary) -> np.ndarray:
-    """Euclidean distance from each feature row to every dictionary word.
-
-    Accepts one vector (d,) -> (K,) or a batch (n, d) -> (n, K).
-    """
+    """Euclidean distance from each feature row to every dictionary word: (n, d) -> (n, K)."""
     f = np.asarray(features, dtype=np.float64)
-    single = f.ndim == 1
-    if single:
-        f = f[None, :]
-    if f.shape[1] != dictionary.centers.shape[1]:
-        raise ValueError(
-            f"feature dim {f.shape[1]} != dictionary dim {dictionary.centers.shape[1]}"
-        )
-    out = np.sqrt(_squared_distances(f, dictionary.centers))
-    return out[0] if single else out
+    d = dictionary.centers.shape[1]
+    if f.ndim != 2 or f.shape[1] != d:
+        raise ValueError(f"features must have shape (n, {d}), got {f.shape}")
+    return np.sqrt(_squared_distances(f, dictionary.centers))
 
 
 def assemble_final(low: np.ndarray, mid: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 One recording is a night of data for a single subject: timestamped heart
 rate samples (beats/minute, irregular since the band emits one sample per
 detected beat), triaxial wrist actigraphy (nominally 32 Hz, unit g), and one
-sleep stage label per 30 s epoch. This module owns the on-disk CSV formats:
+sleep stage label per 30 s epoch. This module owns the on-disk CSV formats,
+the report CSVs' cells (``write_csv``) and the recording files:
 
     heart rate:  header ``t_seconds,bpm``
     actigraphy:  header ``t_seconds,x_g,y_g,z_g``
@@ -48,52 +49,32 @@ class SleepStage(Enum):
     REM = "REM"
 
 
-class FourClassStage(Enum):
-    """Merged label space with wake and N1 collapsed into one class."""
-
-    WN1 = "W+N1"
-    N2 = "N2"
-    N3 = "N3"
-    REM = "REM"
-
-
 STAGE_ORDER = (SleepStage.W, SleepStage.N1, SleepStage.N2, SleepStage.N3, SleepStage.REM)
-FOUR_CLASS_ORDER = (FourClassStage.WN1, FourClassStage.N2, FourClassStage.N3, FourClassStage.REM)
-
 _STAGE_BY_NAME = {s.value: s for s in STAGE_ORDER}
-_STAGE_INDEX = {s: i for i, s in enumerate(STAGE_ORDER)}
 
-_FOUR_CLASS_MAP = {
-    SleepStage.W: FourClassStage.WN1,
-    SleepStage.N1: FourClassStage.WN1,
-    SleepStage.N2: FourClassStage.N2,
-    SleepStage.N3: FourClassStage.N3,
-    SleepStage.REM: FourClassStage.REM,
+# The label spaces: num_classes -> (class names in index order, stage ->
+# class index). The 4-class space fuses W and N1.
+_CLASS_SPACES = {
+    5: (tuple(s.value for s in STAGE_ORDER), dict(zip(STAGE_ORDER, range(5)))),
+    4: (("W+N1", "N2", "N3", "REM"), dict(zip(STAGE_ORDER, (0, 0, 1, 2, 3)))),
 }
-_FOUR_CLASS_INDEX = {s: i for i, s in enumerate(FOUR_CLASS_ORDER)}
 
 
-def map_to_four_class(stage: SleepStage) -> FourClassStage:
-    """Project a canonical stage onto the merged 4-class space (W and N1 fuse)."""
-    return _FOUR_CLASS_MAP[stage]
+def _class_space(num_classes: int) -> tuple[tuple[str, ...], dict[SleepStage, int]]:
+    if num_classes not in _CLASS_SPACES:
+        raise ValueError(f"num_classes must be 4 or 5, got {num_classes}")
+    return _CLASS_SPACES[num_classes]
 
 
 def class_names(num_classes: int) -> tuple[str, ...]:
     """Class labels in index order for the 4- or 5-class mode."""
-    if num_classes == 5:
-        return tuple(s.value for s in STAGE_ORDER)
-    if num_classes == 4:
-        return tuple(s.value for s in FOUR_CLASS_ORDER)
-    raise ValueError(f"num_classes must be 4 or 5, got {num_classes}")
+    return _class_space(num_classes)[0]
 
 
 def stages_to_indices(labels, num_classes: int) -> np.ndarray:
     """Convert a stage sequence to integer class indices for the given mode."""
-    if num_classes == 5:
-        return np.array([_STAGE_INDEX[s] for s in labels], dtype=np.int64)
-    if num_classes == 4:
-        return np.array([_FOUR_CLASS_INDEX[map_to_four_class(s)] for s in labels], dtype=np.int64)
-    raise ValueError(f"num_classes must be 4 or 5, got {num_classes}")
+    index = _class_space(num_classes)[1]
+    return np.array([index[s] for s in labels], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -110,7 +91,6 @@ class ActigraphySeries:
 
     t: np.ndarray
     xyz: np.ndarray
-    nominal_rate: float = ACTIGRAPHY_RATE_HZ
 
 
 @dataclass(frozen=True)
@@ -224,13 +204,6 @@ def _truncate(t: np.ndarray, span: float) -> np.ndarray:
     return (t >= 0.0) & (t < span)
 
 
-def _float_row(path: str, row: list[str], width: int) -> list[float]:
-    try:
-        return [float(row[i]) for i in range(width)]
-    except (ValueError, IndexError) as exc:
-        raise DataValidationError(f"{path}: bad row {row!r}") from exc
-
-
 @contextmanager
 def _open_csv(path: str):
     """Open a CSV for reading; bytes that are not UTF-8 are a data error."""
@@ -244,15 +217,14 @@ def _open_csv(path: str):
 def _read_table(path: str, header: list[str], what: str) -> np.ndarray:
     """Parse a numeric CSV with the given header into shape (rows, len(header)).
 
-    Extra columns are ignored and blank lines skipped. numpy parses the
-    file in one call; a file it refuses (comments, quotes, ``6_0.0``, short
-    or malformed rows) is re-read row by row, accepting what Python's
-    ``float`` accepts and naming the first bad row.
+    numpy parses the file in one call, so its grammar is the format: decimal
+    and exponent numbers, ``nan`` and ``inf``, no quotes, ``_`` separators
+    or comment lines. Extra columns are ignored and blank lines skipped; a
+    row numpy refuses is a data error carrying numpy's row and column.
     """
     width = len(header)
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
+        first = next(csv.reader(fh), None)
         if first is None or [c.strip() for c in first] != header:
             raise DataValidationError(f"{path}: expected header '{','.join(header)}'")
         try:
@@ -262,9 +234,10 @@ def _read_table(path: str, header: list[str], what: str) -> np.ndarray:
                 table = np.loadtxt(
                     path, delimiter=",", skiprows=1, comments=None, usecols=range(width), ndmin=2
                 )
-        except ValueError:
-            rows = [_float_row(path, row, width) for row in reader if row]
-            table = np.array(rows, dtype=np.float64).reshape(-1, width)
+        except UnicodeDecodeError:
+            raise  # reported by _open_csv
+        except ValueError as exc:
+            raise DataValidationError(f"{path}: {exc}") from exc
     if table.shape[0] == 0:
         raise DataValidationError(f"{path}: no {what} samples")
     return table
@@ -276,10 +249,10 @@ def load_heart_rate_csv(path: str) -> HeartRateSeries:
     return HeartRateSeries(t=table[:, 0], bpm=table[:, 1])
 
 
-def load_actigraphy_csv(path: str, nominal_rate: float = ACTIGRAPHY_RATE_HZ) -> ActigraphySeries:
+def load_actigraphy_csv(path: str) -> ActigraphySeries:
     """Parse an actigraphy CSV (header ``t_seconds,x_g,y_g,z_g``)."""
     table = _read_table(path, ACT_HEADER, "actigraphy")
-    return ActigraphySeries(t=table[:, 0], xyz=table[:, 1:], nominal_rate=nominal_rate)
+    return ActigraphySeries(t=table[:, 0], xyz=table[:, 1:])
 
 
 def load_labels_csv(path: str) -> list[SleepStage]:
@@ -334,9 +307,10 @@ def load_recording(
 
     Signals are truncated to the label span; a signal whose last sample does
     not reach the final epoch is rejected as too short. Heart rate must be
-    strictly positive, every epoch needs at least MIN_EPOCH_ACTIGRAPHY
+    strictly positive and at least one beat per epoch (``60 / bpm`` at most
+    EPOCH_SECONDS), every epoch needs at least MIN_EPOCH_ACTIGRAPHY
     actigraphy samples, and the actigraphy's mean sample rate must sit
-    within 5% of its nominal rate.
+    within 5% of ACTIGRAPHY_RATE_HZ.
     """
     for p, what in ((hr_path, "heart rate"), (act_path, "actigraphy"), (label_path, "labels")):
         if not os.path.exists(p):
@@ -351,6 +325,12 @@ def load_recording(
         raise DataValidationError("non-positive heart rate sample")
     if not np.all(np.isfinite(hr.t)) or not np.all(np.isfinite(hr.bpm)):
         raise DataValidationError("non-finite heart rate data")
+    slow = np.flatnonzero(hr.bpm < 60.0 / EPOCH_SECONDS)  # 60 / bpm > EPOCH_SECONDS
+    if slow.size:
+        raise DataValidationError(
+            f"{hr_path}: heart rate {hr.bpm[slow[0]]:g} bpm at t={hr.t[slow[0]]:g} s: "
+            f"its beat interval 60 / bpm exceeds one {EPOCH_SECONDS:g} s epoch"
+        )
     if not np.all(np.isfinite(act.t)) or not np.all(np.isfinite(act.xyz)):
         raise DataValidationError("non-finite actigraphy data")
 
@@ -358,7 +338,7 @@ def load_recording(
     hr_keep = _truncate(hr.t, span)
     act_keep = _truncate(act.t, span)
     hr = HeartRateSeries(t=hr.t[hr_keep], bpm=hr.bpm[hr_keep])
-    act = ActigraphySeries(t=act.t[act_keep], xyz=act.xyz[act_keep], nominal_rate=act.nominal_rate)
+    act = ActigraphySeries(t=act.t[act_keep], xyz=act.xyz[act_keep])
 
     last_epoch_start = (len(labels) - 1) * epoch_seconds
     if hr.t.size == 0 or hr.t[-1] < last_epoch_start:
@@ -380,10 +360,10 @@ def load_recording(
                 f"every epoch needs at least {MIN_EPOCH_ACTIGRAPHY}"
             )
     mean_rate = (act.t.size - 1) / (act.t[-1] - act.t[0])
-    if abs(mean_rate - act.nominal_rate) / act.nominal_rate > RATE_TOLERANCE:
+    if abs(mean_rate - ACTIGRAPHY_RATE_HZ) / ACTIGRAPHY_RATE_HZ > RATE_TOLERANCE:
         raise DataValidationError(
             f"actigraphy rate {mean_rate:.3f} Hz deviates more than "
-            f"{RATE_TOLERANCE:.0%} from nominal {act.nominal_rate} Hz"
+            f"{RATE_TOLERANCE:.0%} from nominal {ACTIGRAPHY_RATE_HZ} Hz"
         )
     return rec
 
@@ -391,6 +371,14 @@ def load_recording(
 def _fmt(x: float) -> str:
     """Shortest decimal string that round-trips the float exactly."""
     return repr(float(x))
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write a report CSV: floats (numpy's too) in ``_fmt`` form, any other cell with ``str``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row) + "\n")
 
 
 # Rows formatted and written per call in ``_write_table``: large enough to

@@ -121,7 +121,7 @@ def _generate_one(cfg: SynthConfig, rng: np.random.Generator, subject_id: str) -
     return Recording(
         subject_id=subject_id,
         hr=HeartRateSeries(t=hr_t, bpm=bpm),
-        act=ActigraphySeries(t=act_t, xyz=xyz, nominal_rate=cfg.act_rate_hz),
+        act=ActigraphySeries(t=act_t, xyz=xyz),
         labels=tuple(STAGE_ORDER[s] for s in stages),
         epoch_seconds=cfg.epoch_seconds,
     )

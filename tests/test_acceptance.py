@@ -218,9 +218,7 @@ def _perturb(rec: Recording) -> Recording:
     return Recording(
         subject_id=rec.subject_id,
         hr=HeartRateSeries(t=rec.hr.t, bpm=rec.hr.bpm + 4.0),
-        act=ActigraphySeries(
-            t=rec.act.t, xyz=rec.act.xyz * 1.25, nominal_rate=rec.act.nominal_rate
-        ),
+        act=ActigraphySeries(t=rec.act.t, xyz=rec.act.xyz * 1.25),
         labels=rec.labels,
         epoch_seconds=rec.epoch_seconds,
     )

@@ -19,6 +19,7 @@ from sleepstager.features_low import FrameConfig, recording_low_features
 from sleepstager.ingest import load_cohort, stages_to_indices
 from sleepstager.modelio import load_dictionary, load_model, save_model
 from sleepstager.training import TrainConfig
+from test_ingest import CSV_CASES, write_case
 
 FAST = [
     "--set", "frame_epochs=4",
@@ -336,6 +337,26 @@ def test_non_utf8_csv_exits_2_naming_the_file(tmp_path, capsys, suffix):
     assert f"s00_{suffix}.csv: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def one_epoch_night(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("night"))
+    assert cli.main(["synth", d, "--recordings", "1", "--epochs", "1"]) == 0
+    return d
+
+
+@pytest.mark.parametrize("kind", ["hr", "act"])
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_validate_and_extract_agree_on_csv_edge_cases(one_epoch_night, tmp_path, capsys, kind, case):
+    # the case's body as the night's heart-rate or actigraphy file
+    night = str(tmp_path / "night")
+    shutil.copytree(one_epoch_night, night)
+    os.replace(write_case(night, kind, case), os.path.join(night, f"s00_{kind}.csv"))
+    capsys.readouterr()
+    extract = ["extract", night, str(tmp_path / "low"), "--set", "frame_epochs=1"]
+    outcomes = [(cli.main(argv), capsys.readouterr().err) for argv in (["validate", night], extract)]
+    assert outcomes[0] == outcomes[1]
+
+
 def test_model_header_faults_exit_2(cohort_dir, tmp_path, capsys):
     model = str(tmp_path / "model.bin")
     assert cli.main(["train", cohort_dir, model] + FAST) == 0
@@ -439,12 +460,11 @@ def test_overflowing_actigraphy_is_a_data_error(cohort_dir, tmp_path, capsys):
     assert not model.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["train", "fit-dict", "eval"])
-def test_overflowing_codebook_distances_are_a_numeric_failure(cohort_dir, tmp_path, capsys, command):
-    # a 1e-300 bpm sample gives finite features whose squared distances
-    # overflow; k-means used to fail in numpy as "usage error: probabilities
-    # contain NaN"
+def test_implausibly_slow_heart_rate_is_a_data_error(cohort_dir, tmp_path, capsys, command):
+    # a 1e-300 bpm sample, a 6e301 s beat interval, passed validate and gave
+    # finite features whose squared codebook distances overflow: these
+    # commands exited 3, "numeric failure"
     def tiny_bpm(rows):
         rows[50] = rows[50].split(",")[0] + ",1e-300"
         return rows
@@ -456,8 +476,10 @@ def test_overflowing_codebook_distances_are_a_numeric_failure(cohort_dir, tmp_pa
     out = str(tmp_path / "out")
     argv = {"train": ["train", data, out] + FAST, "fit-dict": ["fit-dict", data, out] + FAST,
             "eval": ["eval", model, data, "--out", out]}[command]
-    assert cli.main(argv) == 3
-    assert capsys.readouterr().err.startswith("numeric failure: ")
+    assert cli.main(argv) == 2
+    hr = os.path.join(data, "s02_hr.csv")
+    expect = f"data error: {hr}: heart rate 1e-300 bpm at t=50 s: its beat interval"
+    assert capsys.readouterr().err.startswith(expect)
     assert not os.path.exists(out)
 
 

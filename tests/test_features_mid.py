@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sleepstager import features_mid
+from sleepstager.errors import NumericError
 from sleepstager.features_mid import (
     Dictionary,
     NormStats,
@@ -11,6 +12,7 @@ from sleepstager.features_mid import (
     zscore_apply,
     zscore_fit,
 )
+from sleepstager.pipeline import fit_pipeline
 
 
 def blobs(rng, k, per_blob, dim, spread=8.0, std=0.5):
@@ -123,6 +125,15 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans_fit(np.zeros((3, 2)), k=4, seed=0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k, stage", [(2, "seeding"), (1, "iteration 1")])
+    def test_overflowing_squared_distances_are_a_numeric_error(self, k, stage):
+        # finite samples 2e200 apart; with one word seeding sums no distances,
+        # so the first objective is where the overflow shows
+        samples = np.array([[1e200], [-1e200], [0.0]])
+        with pytest.raises(NumericError, match=f"k-means {stage}: .*overflows? float64"):
+            kmeans_fit(samples, k=k, seed=0)
+
     @pytest.mark.parametrize("k", [0, -1])
     def test_non_positive_k_rejected(self, k):
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
@@ -151,8 +162,8 @@ class TestBowEncode:
     def test_coincident_point_gives_zero(self):
         centers = np.array([[0.0, 0.0], [3.0, 4.0]])
         d = Dictionary(centers=centers, iterations=1, objective=0.0, objective_history=(0.0,))
-        out = bow_encode(np.array([3.0, 4.0]), d)
-        np.testing.assert_allclose(out, [5.0, 0.0], atol=1e-12)
+        out = bow_encode(np.array([[3.0, 4.0]]), d)
+        np.testing.assert_allclose(out, [[5.0, 0.0]], atol=1e-12)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(5)
@@ -161,7 +172,7 @@ class TestBowEncode:
         for _ in range(20):
             f = rng.standard_normal(9)
             naive = np.array([np.linalg.norm(f - c) for c in centers])
-            np.testing.assert_allclose(bow_encode(f, d), naive, atol=1e-12)
+            np.testing.assert_allclose(bow_encode(f[None, :], d)[0], naive, atol=1e-12)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
@@ -171,21 +182,22 @@ class TestBowEncode:
         out = bow_encode(batch, d)
         assert out.shape == (7, 4)
         for i in range(7):
-            np.testing.assert_allclose(out[i], bow_encode(batch[i], d), atol=1e-12)
+            np.testing.assert_allclose(out[i], bow_encode(batch[i : i + 1], d)[0], atol=1e-12)
 
     def test_nonnegative_and_triangle_inequality(self):
         rng = np.random.default_rng(7)
         centers = rng.standard_normal((5, 4))
         d = Dictionary(centers=centers, iterations=1, objective=0.0, objective_history=(0.0,))
         a, b = rng.standard_normal(4), rng.standard_normal(4)
-        da, db = bow_encode(a, d), bow_encode(b, d)
+        da, db = bow_encode(np.stack([a, b]), d)
         assert np.all(da >= 0)
         assert np.all(np.abs(da - db) <= np.linalg.norm(a - b) + 1e-12)
 
     def test_dimension_mismatch_rejected(self):
         d = Dictionary(centers=np.zeros((2, 3)), iterations=1, objective=0.0, objective_history=(0.0,))
-        with pytest.raises(ValueError):
-            bow_encode(np.zeros(4), d)
+        for features in (np.zeros((2, 4)), np.zeros(4), np.zeros(3), np.zeros(())):
+            with pytest.raises(ValueError, match=r"features must have shape \(n, 3\)"):
+                bow_encode(features, d)
 
 
 class TestAssembleAndZscore:
@@ -239,3 +251,12 @@ class TestAssembleAndZscore:
         stats = NormStats(mean=np.zeros(3), std=np.ones(3))
         with pytest.raises(ValueError):
             zscore_apply(np.zeros(4), stats)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_transform_of_overflowing_distances_is_a_numeric_error():
+    rng = np.random.default_rng(11)
+    pipeline = fit_pipeline([rng.standard_normal((20, 3))], num_words=4, seed=0)
+    # finite rows whose squared codebook distances overflow float64
+    with pytest.raises(NumericError, match="features overflow float64"):
+        pipeline.transform(np.full((2, 3), 1e200))
