@@ -196,7 +196,8 @@ def cross_validate(
             for *_, va, tr, sd in group
         ))
         try:
-            nets, histories = train(*zip(*jobs))
+            # ``passes_run`` is all a fold reports of its history: no training-split scoring
+            nets, histories = train(*zip(*jobs), score_train=False)
         except NumericError as exc:
             if exc.member is None:
                 raise

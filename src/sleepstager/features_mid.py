@@ -136,9 +136,12 @@ def kmeans_fit(samples: np.ndarray, k: int, seed: int) -> Dictionary:
                 assign[point] = cluster
             counts = np.bincount(assign, minlength=k)
 
-        for j in range(k):
-            if counts[j]:
-                centers[j] = samples[assign == j].mean(axis=0)
+        # each cluster's rows as one contiguous slice, in row order: the same
+        # rows in the same order as a boolean mask takes them, so the same bits
+        grouped = samples[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        for j in np.flatnonzero(counts):
+            centers[j] = grouped[ends[j] - counts[j] : ends[j]].mean(axis=0)
 
         if prev < np.inf:
             rel = (prev - objective) / prev if prev > 0 else 0.0

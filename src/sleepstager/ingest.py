@@ -194,9 +194,13 @@ def merge_scorer_labels(hypnograms: list[list[SleepStage]]) -> list[SleepStage]:
     return consensus
 
 
-def _check_monotone(t: np.ndarray, what: str) -> None:
-    if t.size > 1 and not np.all(np.diff(t) > 0):
-        raise DataValidationError(f"{what} timestamps are not strictly increasing")
+def _check_signal(path: str, what: str, t: np.ndarray, values: np.ndarray) -> None:
+    """Finite samples at strictly increasing times. Finiteness is checked
+    first: a nan time would otherwise read as out of order."""
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(values))):
+        raise DataValidationError(f"{path}: non-finite {what} data")
+    if not np.all(np.diff(t) > 0):
+        raise DataValidationError(f"{path}: {what} timestamps are not strictly increasing")
 
 
 def _truncate(t: np.ndarray, span: float) -> np.ndarray:
@@ -319,20 +323,16 @@ def load_recording(
     hr = load_heart_rate_csv(hr_path)
     act = load_actigraphy_csv(act_path)
 
-    _check_monotone(hr.t, "heart rate")
-    _check_monotone(act.t, "actigraphy")
+    _check_signal(hr_path, "heart rate", hr.t, hr.bpm)
+    _check_signal(act_path, "actigraphy", act.t, act.xyz)
     if np.any(hr.bpm <= 0):
-        raise DataValidationError("non-positive heart rate sample")
-    if not np.all(np.isfinite(hr.t)) or not np.all(np.isfinite(hr.bpm)):
-        raise DataValidationError("non-finite heart rate data")
+        raise DataValidationError(f"{hr_path}: non-positive heart rate sample")
     slow = np.flatnonzero(hr.bpm < 60.0 / EPOCH_SECONDS)  # 60 / bpm > EPOCH_SECONDS
     if slow.size:
         raise DataValidationError(
             f"{hr_path}: heart rate {hr.bpm[slow[0]]:g} bpm at t={hr.t[slow[0]]:g} s: "
             f"its beat interval 60 / bpm exceeds one {EPOCH_SECONDS:g} s epoch"
         )
-    if not np.all(np.isfinite(act.t)) or not np.all(np.isfinite(act.xyz)):
-        raise DataValidationError("non-finite actigraphy data")
 
     span = len(labels) * epoch_seconds
     hr_keep = _truncate(hr.t, span)
@@ -342,9 +342,9 @@ def load_recording(
 
     last_epoch_start = (len(labels) - 1) * epoch_seconds
     if hr.t.size == 0 or hr.t[-1] < last_epoch_start:
-        raise DataValidationError("heart rate signal shorter than label span")
+        raise DataValidationError(f"{hr_path}: heart rate signal shorter than label span")
     if act.t.size == 0 or act.t[-1] < last_epoch_start:
-        raise DataValidationError("actigraphy signal shorter than label span")
+        raise DataValidationError(f"{act_path}: actigraphy signal shorter than label span")
 
     rec = Recording(
         subject_id=subject_id,
@@ -356,13 +356,13 @@ def load_recording(
     for k, samples in enumerate(epoch_actigraphy(rec)):
         if samples.shape[0] < MIN_EPOCH_ACTIGRAPHY:
             raise DataValidationError(
-                f"actigraphy epoch {k} has {samples.shape[0]} sample(s); "
+                f"{act_path}: actigraphy epoch {k} has {samples.shape[0]} sample(s); "
                 f"every epoch needs at least {MIN_EPOCH_ACTIGRAPHY}"
             )
     mean_rate = (act.t.size - 1) / (act.t[-1] - act.t[0])
     if abs(mean_rate - ACTIGRAPHY_RATE_HZ) / ACTIGRAPHY_RATE_HZ > RATE_TOLERANCE:
         raise DataValidationError(
-            f"actigraphy rate {mean_rate:.3f} Hz deviates more than "
+            f"{act_path}: actigraphy rate {mean_rate:.3f} Hz deviates more than "
             f"{RATE_TOLERANCE:.0%} from nominal {ACTIGRAPHY_RATE_HZ} Hz"
         )
     return rec

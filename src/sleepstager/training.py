@@ -133,15 +133,23 @@ def train(
     train_seqs: list[Sequence],
     val_seqs: list[Sequence],
     cfg: TrainConfig,
-) -> tuple[Network, list[tuple[float, float]]]:
+    score_train: bool = True,
+) -> tuple[Network, list[tuple[float | None, float]]]:
     """SGD with weight noise and early stopping on validation loss.
 
     The input network is left untouched; work happens on a clone. After
-    each pass both splits are scored noise-free with the post-pass
+    each pass the validation split, and the training split when
+    ``score_train`` is set, are scored noise-free with the post-pass
     parameters; the returned network carries the parameters of the best
     validation pass. Stops after ``patience`` passes without improvement
     or at ``max_passes``. Returns (best network, [(train_loss, val_loss)]
-    per completed pass), all finite: a non-finite pass raises ``NumericError``.
+    per completed pass), train_loss None when the training split is not
+    scored. ``fit_model`` (the ``train`` command) scores both splits;
+    ``cross_validate`` (``cv``, ``sweep``) scores only the validation split.
+    A pass that leaves a parameter or a scored loss non-finite raises
+    ``NumericError``: "training diverged in pass N: train loss T, val loss
+    V, K non-finite parameter(s)", without "train loss T, " when the
+    training split is not scored.
 
     Tuples of networks, splits and configs, one each, train as a group and
     give tuples of best networks and histories, each what that network gets
@@ -155,17 +163,22 @@ def train(
     work = [n.clone() for n in nets]
     rngs = [np.random.Generator(np.random.Philox(c.seed)) for c in cfgs]
     best, best_val, since_best = [None] * len(nets), [np.inf] * len(nets), [0] * len(nets)
-    histories: tuple[list[tuple[float, float]], ...] = tuple([] for _ in nets)
+    histories: tuple[list[tuple[float | None, float]], ...] = tuple([] for _ in nets)
     active = list(range(len(nets)))
     while active:
         group = [work[m] for m in active]
         _sgd_pass(group, *([xs[m] for m in active] for xs in (trains, cfgs, rngs)))
-        losses = (mean_loss(group, [split[m] for m in active]) for split in (trains, vals))
-        for m, train_loss, val_loss in zip(active, *losses):
+        train_losses = (
+            mean_loss(group, [trains[m] for m in active]) if score_train else (None,) * len(active)
+        )
+        val_losses = mean_loss(group, [vals[m] for m in active])
+        for m, train_loss, val_loss in zip(active, train_losses, val_losses):
             histories[m].append((train_loss, val_loss))
             bad = np.count_nonzero(~np.isfinite(work[m].flat))
-            if bad or not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-                msg = f"train loss {train_loss}, val loss {val_loss}, {bad} non-finite parameter(s)"
+            scored = (val_loss,) if train_loss is None else (train_loss, val_loss)
+            if bad or not all(map(math.isfinite, scored)):
+                msg = f"val loss {val_loss}, {bad} non-finite parameter(s)"
+                msg = msg if train_loss is None else f"train loss {train_loss}, {msg}"
                 raise NumericError(f"training diverged in pass {len(histories[m])}: {msg}", m)
             if val_loss < best_val[m]:
                 best_val[m], best[m], since_best[m] = val_loss, work[m].clone(), 0

@@ -183,6 +183,32 @@ def test_cv_outputs_and_idempotency(cohort_dir, tmp_path):
     assert read_bytes(outs[0][1]) == read_bytes(outs[1][1])
 
 
+def test_cv_and_sweep_reports_match_training_with_the_train_split_scored(
+    cohort_dir, tmp_path, monkeypatch
+):
+    runs = [
+        ["cv", "--out-csv", "cv.csv", "--out-json", "cv.json", "--set", "rounds=2"],
+        ["sweep", "--out", "sweep.csv", "--set", "sweep_types=lstm,blstm",
+         "--set", "sweep_layers=1,2", "--set", "sweep_units=4"],
+    ]
+
+    def reports(tag):
+        out = tmp_path / tag
+        out.mkdir()
+        monkeypatch.chdir(out)
+        for command, *args in runs:
+            argv = [command, cohort_dir, *args, "--set", "folds=3"] + FAST
+            # several passes, so early stopping picks among them
+            assert cli.main(argv + ["--set", "max_passes=4", "--set", "patience=2"]) == 0
+        return dir_snapshot(str(out))
+
+    plain = reports("plain")
+    real = evaluate.train
+    monkeypatch.setattr(evaluate, "train", lambda *job, score_train: real(*job, score_train=True))
+    assert reports("scored") == plain
+    assert sorted(plain) == ["cv.csv", "cv.json", "sweep.csv"]
+
+
 def test_sweep_csv(cohort_dir, tmp_path):
     out = str(tmp_path / "sweep.csv")
     rc = cli.main(["sweep", cohort_dir, "--out", out,
@@ -355,6 +381,13 @@ def test_validate_and_extract_agree_on_csv_edge_cases(one_epoch_night, tmp_path,
     extract = ["extract", night, str(tmp_path / "low"), "--set", "frame_epochs=1"]
     outcomes = [(cli.main(argv), capsys.readouterr().err) for argv in (["validate", night], extract)]
     assert outcomes[0] == outcomes[1]
+    # every refusal names the file; a nan time is non-finite, not out of order
+    code, err = outcomes[0]
+    path = os.path.join(night, f"s00_{kind}.csv")
+    assert code == 0 or err.startswith(f"data error: {path}: "), err
+    if case == "nan":
+        what = "heart rate" if kind == "hr" else "actigraphy"
+        assert err == f"data error: {path}: non-finite {what} data\n"
 
 
 def test_model_header_faults_exit_2(cohort_dir, tmp_path, capsys):
@@ -541,8 +574,9 @@ def test_a_fold_diverging_in_its_group_names_round_fold_and_pass(
     argv += ["--set", "folds=5", "--set", "rounds=1"]
     assert cli.main(argv + FAST) == 3
     err = capsys.readouterr().err
-    expected = "numeric failure: round 0, fold 2: training diverged in pass 1: train loss nan"
-    assert err.startswith(expected), err
+    # cv scores no training split, so the message names the val loss alone
+    pass_1 = "training diverged in pass 1: val loss nan, 6325 non-finite parameter(s)"
+    assert err == f"numeric failure: round 0, fold 2: {pass_1}\n"
     assert len(calls) == 4 and os.listdir(tmp_path) == []
 
 

@@ -139,9 +139,11 @@ class TestKmeans:
         with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
             kmeans_fit(np.zeros((3, 2)), k=k, seed=0)
 
+    # the last case has the bench's width and word count, words close to
+    # rows, and 59 empty clusters to repair in each of its iterations
     @pytest.mark.parametrize(
         "n,dim,k,seed",
-        [(60, 7, 8, 0), (200, 13, 30, 5), (30, 1, 5, 2), (97, 40, 97, 9)],
+        [(60, 7, 8, 0), (200, 13, 30, 5), (30, 1, 5, 2), (97, 40, 97, 9), (320, 220, 300, 11)],
     )
     def test_matches_recomputing_oracle_byte_for_byte(self, n, dim, k, seed):
         rng = np.random.default_rng(seed)

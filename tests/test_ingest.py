@@ -434,8 +434,9 @@ class TestRecordingValidation:
             labels=rec.labels,
         )
         paths = self._paths(tmp_path, short)
-        with pytest.raises(DataValidationError, match="shorter"):
+        with pytest.raises(DataValidationError) as err:
             load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+        assert str(err.value) == f"{paths['hr']}: heart rate signal shorter than label span"
 
     def test_nonpositive_bpm_rejected(self, tmp_path):
         rec = make_recording(n_epochs=2)
@@ -448,8 +449,9 @@ class TestRecordingValidation:
             labels=rec.labels,
         )
         paths = self._paths(tmp_path, bad)
-        with pytest.raises(DataValidationError, match="heart rate"):
+        with pytest.raises(DataValidationError) as err:
             load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+        assert str(err.value) == f"{paths['hr']}: non-positive heart rate sample"
 
     def test_unsorted_times_rejected(self, tmp_path):
         rec = make_recording(n_epochs=2)
@@ -462,8 +464,10 @@ class TestRecordingValidation:
             labels=rec.labels,
         )
         paths = self._paths(tmp_path, bad)
-        with pytest.raises(DataValidationError, match="increasing"):
+        with pytest.raises(DataValidationError) as err:
             load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+        expect = f"{paths['hr']}: heart rate timestamps are not strictly increasing"
+        assert str(err.value) == expect
 
     def test_offrate_actigraphy_rejected(self, tmp_path):
         rec = make_recording(n_epochs=2)
@@ -476,8 +480,9 @@ class TestRecordingValidation:
             labels=rec.labels,
         )
         paths = self._paths(tmp_path, bad)
-        with pytest.raises(DataValidationError, match="rate"):
+        with pytest.raises(DataValidationError) as err:
             load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+        assert str(err.value).startswith(f"{paths['act']}: actigraphy rate 24.000 Hz deviates")
 
     def test_sparse_actigraphy_epoch_rejected(self, tmp_path):
         # two samples left in one epoch: too few for its cepstra, though the
@@ -493,8 +498,9 @@ class TestRecordingValidation:
             labels=rec.labels,
         )
         paths = self._paths(tmp_path, sparse)
-        with pytest.raises(DataValidationError, match=r"actigraphy epoch 17 has 2 sample\(s\)"):
+        with pytest.raises(DataValidationError) as err:
             load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+        assert str(err.value).startswith(f"{paths['act']}: actigraphy epoch 17 has 2 sample(s);")
 
     def test_missing_file_rejected(self, tmp_path):
         rec = make_recording(n_epochs=2)

@@ -1,6 +1,8 @@
 """A group of networks run in lockstep gives each network exactly what it
 gets alone: forward, backward, scoring and whole training runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -263,9 +265,9 @@ def cv_args(units):
 def test_only_narrow_layers_train_in_lockstep(monkeypatch, units, sizes):
     seen = []
 
-    def recording_train(nets, *rest):
+    def recording_train(nets, *rest, score_train):
         seen.append(len(nets))
-        return train(nets, *rest)
+        return train(nets, *rest, score_train=score_train)
 
     monkeypatch.setattr(evaluate, "train", recording_train)
     assert training.lockstep_size((("mlp", 8), ("blstm", units))) == sizes[0]
@@ -273,10 +275,34 @@ def test_only_narrow_layers_train_in_lockstep(monkeypatch, units, sizes):
     assert seen == sizes
 
 
+def test_cross_validation_scores_only_the_validation_nights(monkeypatch):
+    vals, scored = [], []
+
+    def recording_train(nets, trains, val_splits, *rest, score_train):
+        vals.append(val_splits)
+        return train(nets, trains, val_splits, *rest, score_train=score_train)
+
+    def recording_mean_loss(nets, splits):
+        scored.append([[id(seq) for seq in split] for split in splits])
+        return mean_loss(nets, splits)
+
+    monkeypatch.setattr(evaluate, "train", recording_train)
+    monkeypatch.setattr(training, "mean_loss", recording_mean_loss)
+    recs, frame, words, layers, cfg = cv_args(2)
+    cfg = replace(cfg, max_passes=2)
+    cross_validate(recs, frame, words, layers, cfg, k=5, rounds=1, seed=9, num_classes=4)
+    # each pass scores each member's one validation night: a group of four
+    # folds for two passes, then the fifth fold alone for two
+    assert [len(call) for call in scored] == [4, 4, 1, 1]
+    per_group = [[[id(seq) for seq in split] for split in group] for group in vals]
+    assert scored == [ids for ids in per_group for _ in range(2)]
+    assert all(len(split) == 1 for group in vals for split in group)
+
+
 def test_a_numeric_error_naming_no_member_passes_through_cross_validation(monkeypatch):
     fault = NumericError("not from a group member")
 
-    def failing_train(*_):
+    def failing_train(*_, score_train):
         raise fault
 
     monkeypatch.setattr(evaluate, "train", failing_train)

@@ -244,6 +244,10 @@ class TestTrain:
         assert hist_a == hist_b
         for (_, pa), (_, pb) in zip(a.params.items(), b.params.items()):
             np.testing.assert_array_equal(pa, pb)
+        # leaving the training split unscored leaves the run as it was
+        c, hist_c = train(net, seqs[:3], seqs[3:], cfg, score_train=False)
+        assert hist_c == [(None, v) for _, v in hist_a]
+        assert c.flat.tobytes() == a.flat.tobytes()
 
     def test_returns_best_validation_params(self):
         rng = np.random.default_rng(15)
