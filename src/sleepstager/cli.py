@@ -16,6 +16,7 @@ Exit codes and stderr labels, one per class in ``errors``: 0 success;
 1 ``usage error`` (UsageError) or ``config error`` (ConfigError); 2 ``data
 error`` (DataValidationError, or an unreadable file); 3 ``numeric failure``
 (NumericError: non-finite training or features, failed gradient check).
+Running out of memory is a config error: ``config error: out of memory: ...``.
 All outputs are deterministic: running a command twice with the same
 inputs produces byte-identical files.
 """
@@ -44,7 +45,7 @@ from .ingest import _fmt, load_cohort, save_recording, stages_to_indices, write_
 from .modelio import load_model, save_dictionary, save_model
 from .network import LAYER_KINDS, NetSpec, layer_stack, network_forward, predict_stages
 from .pipeline import check_num_words
-from .synth import SynthConfig, context_only_config, generate_cohort
+from .synth import SynthConfig, generate_cohort
 from .training import gradient_check
 
 GRADCHECK_FAIL_THRESHOLD = 1e-4
@@ -79,14 +80,14 @@ def cmd_validate(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _cfg(args)
-    overrides = dict(
-        n_recordings=args.recordings,
-        epochs_per_recording=args.epochs,
-        seed=cfg.seed,
-        difficulty=args.difficulty,
-    )
     try:
-        synth_cfg = (context_only_config if args.context_only else SynthConfig)(**overrides)
+        synth_cfg = SynthConfig(
+            n_recordings=args.recordings,
+            epochs_per_recording=args.epochs,
+            seed=cfg.seed,
+            difficulty=args.difficulty,
+            context_only=args.context_only,
+        )
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
     os.makedirs(args.out, exist_ok=True)
@@ -366,6 +367,8 @@ def main(argv=None) -> int:
         kind, message = type(exc), str(exc)
     except OSError as exc:  # a file that cannot be read or written
         kind, message = DataValidationError, str(exc)
+    except MemoryError as exc:  # sizes set by config that no check bounds yet
+        kind, message = ConfigError, f"out of memory: {exc}"
     print(f"{kind.label}: {message}", file=sys.stderr)
     return kind.exit_code
 

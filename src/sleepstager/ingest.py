@@ -305,7 +305,6 @@ def load_recording(
     act_path: str,
     label_path: str,
     subject_id: str,
-    epoch_seconds: float = EPOCH_SECONDS,
 ) -> Recording:
     """Load and validate one recording from its three CSV files.
 
@@ -334,25 +333,19 @@ def load_recording(
             f"its beat interval 60 / bpm exceeds one {EPOCH_SECONDS:g} s epoch"
         )
 
-    span = len(labels) * epoch_seconds
+    span = len(labels) * EPOCH_SECONDS
     hr_keep = _truncate(hr.t, span)
     act_keep = _truncate(act.t, span)
     hr = HeartRateSeries(t=hr.t[hr_keep], bpm=hr.bpm[hr_keep])
     act = ActigraphySeries(t=act.t[act_keep], xyz=act.xyz[act_keep])
 
-    last_epoch_start = (len(labels) - 1) * epoch_seconds
+    last_epoch_start = (len(labels) - 1) * EPOCH_SECONDS
     if hr.t.size == 0 or hr.t[-1] < last_epoch_start:
         raise DataValidationError(f"{hr_path}: heart rate signal shorter than label span")
     if act.t.size == 0 or act.t[-1] < last_epoch_start:
         raise DataValidationError(f"{act_path}: actigraphy signal shorter than label span")
 
-    rec = Recording(
-        subject_id=subject_id,
-        hr=hr,
-        act=act,
-        labels=tuple(labels),
-        epoch_seconds=epoch_seconds,
-    )
+    rec = Recording(subject_id=subject_id, hr=hr, act=act, labels=tuple(labels))
     for k, samples in enumerate(epoch_actigraphy(rec)):
         if samples.shape[0] < MIN_EPOCH_ACTIGRAPHY:
             raise DataValidationError(
@@ -441,7 +434,7 @@ def discover_cohort(directory: str) -> list[str]:
     return ids
 
 
-def load_cohort(directory: str, epoch_seconds: float = EPOCH_SECONDS) -> list[Recording]:
+def load_cohort(directory: str) -> list[Recording]:
     """Load every recording in a cohort directory, sorted by subject id."""
     ids = discover_cohort(directory)
     if not ids:
@@ -454,7 +447,6 @@ def load_cohort(directory: str, epoch_seconds: float = EPOCH_SECONDS) -> list[Re
                 os.path.join(directory, f"{sid}_act.csv"),
                 os.path.join(directory, f"{sid}_labels.csv"),
                 subject_id=sid,
-                epoch_seconds=epoch_seconds,
             )
         )
     return recs

@@ -85,6 +85,25 @@ def _arrays(body: np.ndarray, meta, path: str) -> dict[str, np.ndarray]:
     return loaded
 
 
+def _codebook_fields(d: Dictionary, fit_prefix: str) -> dict:
+    """A codebook's header fields. Model files put ``dict_`` before the fit's
+    iterations, objective and objective history; dictionary files put nothing."""
+    return {
+        "num_words": d.num_words,
+        "low_dim": d.centers.shape[1],
+        f"{fit_prefix}iterations": d.iterations,
+        f"{fit_prefix}objective": d.objective,
+        f"{fit_prefix}objective_history": list(d.objective_history),
+    }
+
+
+def _read_codebook_fields(header: dict, fit_prefix: str) -> tuple:
+    """The fields ``_codebook_fields`` wrote, in ``_dictionary``'s argument
+    order: num_words, low_dim, iterations, objective, history."""
+    keys = ("num_words", "low_dim", f"{fit_prefix}iterations", f"{fit_prefix}objective")
+    return (*(header[key] for key in keys), tuple(header[f"{fit_prefix}objective_history"]))
+
+
 def save_model(model: FittedModel, path: str) -> None:
     d = model.pipeline.dictionary
     stats = model.pipeline.stats
@@ -104,14 +123,10 @@ def save_model(model: FittedModel, path: str) -> None:
             "freq_components": model.frame.freq_components,
             "cepstrum_components": model.frame.cepstrum_components,
         },
-        "num_words": d.num_words,
-        "low_dim": d.centers.shape[1],
         "final_dim": model.pipeline.final_dim,
         "layers": [[kind, hidden] for kind, hidden in model.net.spec.layers],
-        "dict_iterations": d.iterations,
-        "dict_objective": d.objective,
-        "dict_objective_history": list(d.objective_history),
         "arrays": array_meta,
+        **_codebook_fields(d, "dict_"),
     }
     with open(path, "wb") as fh:
         fh.write(_pack(header, arrays, MODEL_MAGIC))
@@ -148,16 +163,12 @@ def load_model(path: str) -> FittedModel:
             num_classes=header["num_classes"],
             layers=tuple((k, h) for k, h in header["layers"]),
         )
-        array_meta = header["arrays"]
-        low_dim, num_words, final_dim = header["low_dim"], header["num_words"], header["final_dim"]
+        array_meta, final_dim = header["arrays"], header["final_dim"]
+        codebook = _read_codebook_fields(header, "dict_")
+        num_words, low_dim = codebook[:2]
         sizes = [*vars(frame).values(), spec.num_classes, low_dim, num_words, final_dim]
         if not all(type(n) is int for n in sizes + [h for _, h in spec.layers]):
             raise TypeError("sizes must be integers")
-        dict_meta = (
-            header["dict_iterations"],
-            header["dict_objective"],
-            tuple(header["dict_objective_history"]),
-        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: invalid header: {exc}") from exc
 
@@ -189,7 +200,7 @@ def load_model(path: str) -> FittedModel:
         frame=frame,
         num_classes=header["num_classes"],
         pipeline=FittedPipeline(
-            dictionary=_dictionary(centers, num_words, low_dim, *dict_meta, path),
+            dictionary=_dictionary(centers, *codebook, path),
             stats=NormStats(mean=mean, std=std),
         ),
         net=net,
@@ -199,12 +210,8 @@ def load_model(path: str) -> FittedModel:
 def save_dictionary(d: Dictionary, path: str) -> None:
     header = {
         "version": FORMAT_VERSION,
-        "num_words": d.num_words,
-        "low_dim": d.centers.shape[1],
-        "iterations": d.iterations,
-        "objective": d.objective,
-        "objective_history": list(d.objective_history),
         "arrays": [["centers", list(d.centers.shape)]],
+        **_codebook_fields(d, ""),
     }
     with open(path, "wb") as fh:
         fh.write(_pack(header, [d.centers], DICT_MAGIC))
@@ -217,9 +224,8 @@ def load_dictionary(path: str) -> Dictionary:
     _check_version(header, path)
     try:
         (array,) = header["arrays"]
-        meta = [header[key] for key in ("num_words", "low_dim", "iterations", "objective")]
-        history = tuple(header["objective_history"])
+        codebook = _read_codebook_fields(header, "")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: invalid header: {exc}") from exc
     (centers,) = _arrays(body, [array], path).values()
-    return _dictionary(centers, *meta, history, path)
+    return _dictionary(centers, *codebook, path)

@@ -189,18 +189,12 @@ def train(
     return (best[0], histories[0]) if single else (tuple(best), histories)
 
 
-def finite_difference_gradients(
-    net: Network, X: np.ndarray, Y: np.ndarray, step: float = 1e-5, order: int = 2
-) -> ParamViews:
-    """Central-difference loss gradients, one coordinate at a time.
+GRADCHECK_STEP = 1e-3  # the five-point stencil's finite-difference step
+GRADCHECK_INIT_STD = 0.5  # init scale of gradient_check's networks
 
-    order=2 is the classic two-point stencil. order=4 is the five-point
-    stencil, whose fourth-order truncation error permits a much wider step;
-    that pushes the evaluation-roundoff floor low enough to resolve
-    gradients in the 1e-7 range, which the two-point stencil cannot.
-    """
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
+
+def finite_difference_gradients(net: Network, X: np.ndarray, Y: np.ndarray) -> ParamViews:
+    """Five-point central-difference loss gradients, one coordinate at a time."""
 
     def eval_at(j, value) -> float:
         orig = net.flat[j]
@@ -209,40 +203,33 @@ def finite_difference_gradients(
         net.flat[j] = orig
         return l
 
+    h = GRADCHECK_STEP
     fd = np.empty_like(net.flat)
     for j, w in enumerate(net.flat.tolist()):
-        if order == 2:
-            fd[j] = (eval_at(j, w + step) - eval_at(j, w - step)) / (2.0 * step)
-        else:
-            f1 = eval_at(j, w + step) - eval_at(j, w - step)
-            f2 = eval_at(j, w + 2.0 * step) - eval_at(j, w - 2.0 * step)
-            fd[j] = (8.0 * f1 - f2) / (12.0 * step)
+        f1 = eval_at(j, w + h) - eval_at(j, w - h)
+        f2 = eval_at(j, w + 2.0 * h) - eval_at(j, w - 2.0 * h)
+        fd[j] = (8.0 * f1 - f2) / (12.0 * h)
     return ParamViews(net.spec, fd)
 
 
-def gradient_check(
-    spec: NetSpec,
-    T: int,
-    seed: int,
-    step: float = 1e-3,
-    init_std: float = 0.5,
-) -> float:
+def gradient_check(spec: NetSpec, T: int, seed: int) -> float:
     """Max relative disagreement between analytic and numeric gradients.
 
     Builds a random network and sequence from the seed, then compares every
-    parameter's analytic gradient against five-point central differences.
-    The relative error uses |ga - gfd| / max(|ga|, |gfd|, 1e-8). The
-    defaults (wide step, fourth-order stencil, init scale above training's)
-    keep the differencing noise floor near 1e-12 so that even deep-stack
-    gradients of order 1e-7 are resolved to several digits.
+    parameter's analytic gradient against ``finite_difference_gradients``.
+    The relative error uses |ga - gfd| / max(|ga|, |gfd|, 1e-8). The wide
+    step, which the stencil's fourth-order truncation error permits, and an
+    init scale above training's keep the differencing noise floor near
+    1e-12, so that even deep-stack gradients of order 1e-7 are resolved to
+    several digits.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    net = init_params(spec, seed, init_std=init_std)
+    net = init_params(spec, seed, init_std=GRADCHECK_INIT_STD)
     rng = np.random.Generator(np.random.Philox([seed, 1]))
     X = rng.standard_normal((T, spec.input_dim))
     Y = np.eye(spec.num_classes)[rng.integers(0, spec.num_classes, size=T)]
     _, trace = network_forward(net, X)
     ga = network_backward(net, trace, Y).flat
-    gn = finite_difference_gradients(net, X, Y, step=step, order=4).flat
+    gn = finite_difference_gradients(net, X, Y).flat
     return float((np.abs(ga - gn) / np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)).max())

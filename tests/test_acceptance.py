@@ -22,7 +22,7 @@ from sleepstager.features_low import FrameConfig
 from sleepstager.features_mid import kmeans_fit
 from sleepstager.ingest import ActigraphySeries, HeartRateSeries, Recording
 from sleepstager.network import NetSpec
-from sleepstager.synth import SynthConfig, context_only_config, generate_cohort
+from sleepstager.synth import SynthConfig, generate_cohort
 from sleepstager.training import TrainConfig, gradient_check
 from sleepstager.transforms import dct2, real_cepstrum
 
@@ -291,7 +291,7 @@ def test_criterion_07_synthetic_cv_score(main_cv):
 
 
 def test_criterion_08_recurrent_beats_frame_reader():
-    recs = generate_cohort(context_only_config(seed=CTX_SEED))
+    recs = generate_cohort(SynthConfig(seed=CTX_SEED, context_only=True))
     frame = FrameConfig(frame_epochs=1)
 
     def run(kind):

@@ -294,6 +294,24 @@ def test_num_words_beyond_training_epochs_is_a_config_error(cohort_dir, tmp_path
     assert not os.path.exists(out)
 
 
+def test_running_out_of_memory_is_one_config_error_line(cohort_dir, tmp_path, monkeypatch, capsys):
+    # stands in for numpy's _ArrayMemoryError on an oversized --set, without
+    # allocating anything
+    def exhausted(*_):
+        raise MemoryError("Unable to allocate 916. MiB for an array with shape (40, 3000070)")
+
+    monkeypatch.setattr(cli, "recording_low_features", exhausted)
+    out = str(tmp_path / "low")
+    assert cli.main(["extract", cohort_dir, out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: out of memory: "
+        "Unable to allocate 916. MiB for an array with shape (40, 3000070)\n"
+    )
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
 def test_data_errors_exit_2(tmp_path):
     empty = str(tmp_path / "empty")
     os.makedirs(empty)

@@ -1,11 +1,17 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from sleepstager.ingest import load_cohort, save_recording
+from sleepstager.ingest import EPOCH_SECONDS, load_cohort, save_recording
 from sleepstager.synth import (
+    BURST_PROB,
+    HR_MEAN,
+    HR_RATE_HZ,
+    HR_STD,
     SynthConfig,
-    context_only_config,
     generate_cohort,
 )
 
@@ -36,21 +42,16 @@ class TestConfigValidation:
         assert cfg.n_recordings == 16
         assert cfg.epochs_per_recording == 240
 
-    def test_bad_rows_rejected(self):
-        t = np.full((5, 5), 0.2)
-        t[0, 0] = 0.3
-        with pytest.raises(ValueError):
-            SynthConfig(transition=t)
-
     def test_bad_difficulty_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(difficulty=0.0)
         with pytest.raises(ValueError):
             SynthConfig(difficulty=1.5)
 
-    def test_bad_probabilities_rejected(self):
-        with pytest.raises(ValueError):
-            SynthConfig(burst_prob=np.array([0.5, 0.5, 0.5, 0.5, 1.2]))
+    def test_emission_constants_are_read_only(self):
+        for constant in (HR_MEAN, HR_STD, BURST_PROB, SynthConfig().transition):
+            with pytest.raises(ValueError):
+                constant[0] = 1.0
 
 
 class TestGeneratedCohorts:
@@ -108,7 +109,7 @@ class TestGeneratedCohorts:
         # rate tells W from N3 more than 90% of the time at difficulty 1
         cfg = SynthConfig(seed=5)
         cohort = generate_cohort(cfg)
-        threshold = 0.5 * (cfg.hr_mean[0] + cfg.hr_mean[3])
+        threshold = 0.5 * (HR_MEAN[0] + HR_MEAN[3])
         correct = 0
         total = 0
         for rec in cohort:
@@ -131,7 +132,7 @@ class TestGeneratedCohorts:
         hr_easy, _ = _effective(easy)
         hr_hard, _ = _effective(hard)
         assert np.ptp(hr_hard) < 0.3 * np.ptp(hr_easy)
-        np.testing.assert_allclose(hr_easy, easy.hr_mean)
+        np.testing.assert_allclose(hr_easy, HR_MEAN)
 
     def test_wake_epochs_move_more(self):
         cfg = SynthConfig(n_recordings=4, epochs_per_recording=60, seed=8)
@@ -150,14 +151,14 @@ class TestGeneratedCohorts:
 
 class TestContextOnlyVariant:
     def test_uniform_chain(self):
-        cfg = context_only_config(n_recordings=8, epochs_per_recording=200, seed=9)
+        cfg = SynthConfig(n_recordings=8, epochs_per_recording=200, seed=9, context_only=True)
         np.testing.assert_allclose(cfg.transition, 0.2)
         assert cfg.context_only
 
     def test_emissions_follow_previous_stage(self):
         # epochs after a W stage should carry wake-like heart rate no matter
         # what the current stage is
-        cfg = context_only_config(n_recordings=6, epochs_per_recording=120, seed=10)
+        cfg = SynthConfig(n_recordings=6, epochs_per_recording=120, seed=10, context_only=True)
         cohort = generate_cohort(cfg)
         after_w, after_n3 = [], []
         for rec in cohort:
@@ -173,7 +174,7 @@ class TestContextOnlyVariant:
 
     def test_current_epoch_uninformative(self):
         # mean HR grouped by the CURRENT stage shows no separation
-        cfg = context_only_config(n_recordings=6, epochs_per_recording=120, seed=11)
+        cfg = SynthConfig(n_recordings=6, epochs_per_recording=120, seed=11, context_only=True)
         cohort = generate_cohort(cfg)
         by_stage = {s: [] for s in ("W", "N1", "N2", "N3", "REM")}
         for rec in cohort:
@@ -189,13 +190,35 @@ class TestBayesRate:
         # quadrature over the known emission model: the optimal classifier
         # on per-epoch mean HR alone already exceeds the end-to-end target,
         # so the pipeline threshold is attainable by construction
-        cfg = SynthConfig()
-        samples_per_epoch = int(cfg.epoch_seconds * cfg.hr_rate_hz)
-        sem = cfg.hr_std / np.sqrt(samples_per_epoch)
+        samples_per_epoch = int(EPOCH_SECONDS * HR_RATE_HZ)
+        sem = HR_STD / np.sqrt(samples_per_epoch)
         priors = np.full(5, 0.2)  # symmetric default chain
         grid = np.linspace(30.0, 110.0, 160_001)
         densities = np.stack([
-            priors[s] * norm.pdf(grid, cfg.hr_mean[s], sem[s]) for s in range(5)
+            priors[s] * norm.pdf(grid, HR_MEAN[s], sem[s]) for s in range(5)
         ])
         bayes_acc = np.trapezoid(densities.max(axis=0), grid)
         assert bayes_acc > 0.95
+
+
+class TestPinnedCohorts:
+    # SHA-256 over the sorted file names and bytes that save_recording
+    # writes for a 3 x 20-epoch cohort; any change to a draw, an emission
+    # parameter or the writer's number format moves these digests
+    @pytest.mark.parametrize(
+        "options, digest",
+        [
+            ({}, "fdb8d1f72b12e79f577611945de177c46fa4121125e6139ba3e07263f3eaad7a"),
+            ({"difficulty": 0.4}, "bae2c44aab552cadd0ce2cf975d30a86228f1043f2b8d25294a98760fafb2ba1"),
+            ({"context_only": True}, "4b87e19a9dc8180071839fd48fd0f10f77f10da967fd64949ed545288806df9a"),
+        ],
+    )
+    def test_written_cohort_bits_are_pinned(self, tmp_path, options, digest):
+        cfg = SynthConfig(n_recordings=3, epochs_per_recording=20, seed=12, **options)
+        for rec in generate_cohort(cfg):
+            save_recording(rec, str(tmp_path))
+        h = hashlib.sha256()
+        for name in sorted(os.listdir(tmp_path)):
+            h.update(name.encode() + b"\0")
+            h.update((tmp_path / name).read_bytes())
+        assert h.hexdigest() == digest
