@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
     total = np.zeros((model.num_classes, model.num_classes), dtype=np.int64)
     for rec in recs:
         X = model.features_for(rec)
-        probs, _ = network_forward(model.net, X)
+        (probs,), _ = network_forward((model.net,), (X,))
         pred = predict_stages(probs)
         ref = stages_to_indices(rec.labels, model.num_classes)
         cm = confusion_matrix(ref, pred, model.num_classes)

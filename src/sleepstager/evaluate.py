@@ -73,8 +73,6 @@ def kfold_split(subject_ids: list[str], k: int, seed: int) -> list[list[str]]:
     """Seeded shuffle, then round-robin deal into k folds (sizes differ <= 1)."""
     if len(subject_ids) < k:
         raise ValueError(f"need at least k={k} subjects, got {len(subject_ids)}")
-    if k < 2:
-        raise ValueError("k must be >= 2")
     rng = np.random.Generator(np.random.Philox(seed))
     shuffled = [subject_ids[j] for j in rng.permutation(len(subject_ids))]
     return [shuffled[j::k] for j in range(k)]
@@ -162,7 +160,8 @@ def cross_validate(
     stats, network) comes from the k - 2 training folds of each iteration.
     Per-iteration seeds are spawned from (seed, round, fold) so results
     never depend on execution order; fold shuffling uses seed + round.
-    The fits train in (round, fold) order in groups of ``lockstep_size``.
+    The fits train in (round, fold) order in groups of ``lockstep_size``,
+    bounded by the bytes of the largest fold's sequences.
     """
     if k < 3:
         raise ValueError(f"k={k}: need a test, a validation and a training fold (k >= 3)")
@@ -187,8 +186,11 @@ def cross_validate(
             train_ids = [s for j in range(k) if j not in (f, v) for s in folds[j]]
             plan.append((round_index, f, folds[f], folds[v], train_ids, [int(s) for s in seeds]))
 
+    # a fold's training and validation sequences: features and one-hot labels
+    epoch_bytes = 8 * (frame.dim + num_words + num_classes)
+    fold_epochs = max(sum(len(lows[by_id[s]]) for s in va + tr) for *_, va, tr, _ in plan)
     results: list[FoldResult] = []
-    size = lockstep_size(net_layers)
+    size = lockstep_size(net_layers, fold_epochs * epoch_bytes)
     for start in range(0, len(plan), size):
         group = plan[start : start + size]
         pipelines, jobs = zip(*(
@@ -208,7 +210,7 @@ def cross_validate(
             group, pipelines, nets, histories
         ):
             test_lows, refs = split(test_ids)
-            probs = [network_forward(net, pipeline.transform(x))[0] for x in test_lows]
+            probs = [network_forward((net,), (pipeline.transform(x),))[0][0] for x in test_lows]
             preds = [predict_stages(night) for night in probs]
             cm = confusion_matrix(np.concatenate(refs), np.concatenate(preds), num_classes)
             p, r, f1 = weighted_metrics(cm)

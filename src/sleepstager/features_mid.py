@@ -166,15 +166,6 @@ def bow_encode(features: np.ndarray, dictionary: Dictionary) -> np.ndarray:
     return np.sqrt(_squared_distances(f, dictionary.centers))
 
 
-def assemble_final(low: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    """Concatenate low-level and distance blocks; rows stay aligned for batches."""
-    low = np.asarray(low, dtype=np.float64)
-    mid = np.asarray(mid, dtype=np.float64)
-    if low.ndim != mid.ndim:
-        raise ValueError("low and mid blocks must have matching rank")
-    return np.concatenate([low, mid], axis=-1)
-
-
 def zscore_fit(train_features: np.ndarray) -> NormStats:
     """Mean and population std of each dimension, training rows only."""
     x = np.asarray(train_features, dtype=np.float64)

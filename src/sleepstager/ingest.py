@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -224,7 +225,7 @@ def _read_table(path: str, header: list[str], what: str) -> np.ndarray:
     numpy parses the file in one call, so its grammar is the format: decimal
     and exponent numbers, ``nan`` and ``inf``, no quotes, ``_`` separators
     or comment lines. Extra columns are ignored and blank lines skipped; a
-    row numpy refuses is a data error carrying numpy's row and column.
+    row numpy refuses is a data error naming its file line and column.
     """
     width = len(header)
     with _open_csv(path) as fh:
@@ -241,10 +242,23 @@ def _read_table(path: str, header: list[str], what: str) -> np.ndarray:
         except UnicodeDecodeError:
             raise  # reported by _open_csv
         except ValueError as exc:
-            raise DataValidationError(f"{path}: {exc}") from exc
+            raise DataValidationError(f"{path}: {_at_file_line(str(exc), fh)}") from exc
     if table.shape[0] == 0:
         raise DataValidationError(f"{path}: no {what} samples")
     return table
+
+
+def _at_file_line(message: str, fh) -> str:
+    """numpy's message for a refused row with its row number, which counts the
+    non-empty lines after the header from 0 for a bad value and from 1 for a
+    short row, replaced by the 1-based line of the file ``fh`` reads."""
+    found = re.search(r"at row (\d+)", message)
+    if found is None:
+        return message
+    fh.seek(0)
+    lines = [n for n, line in enumerate(fh, 1) if n > 1 and line.strip("\r\n")]
+    row = int(found[1]) - message.startswith("invalid column index")
+    return f"{message[: found.start()]}at line {lines[row]}{message[found.end() :]}"
 
 
 def load_heart_rate_csv(path: str) -> HeartRateSeries:

@@ -313,16 +313,10 @@ def _reversal(lengths: list[int]) -> np.ndarray:
     return np.where(t < n, n - 1 - t, t)
 
 
-def as_group(net, *inputs):
-    """``(networks, inputs, single)``: a lone ``Network`` and its inputs as a
-    group of one, else a tuple of networks of one layer stack and, per input,
-    a tuple of one value per network."""
-    if isinstance(net, Network):
-        return (net,), [(x,) for x in inputs], True
-    net, inputs = tuple(net), [tuple(x) for x in inputs]
-    if not net or any(len(x) != len(net) for x in inputs) or len({n.spec.layers for n in net}) > 1:
+def _check_group(nets, inputs) -> None:
+    """A group is networks of one layer stack with one input each."""
+    if not nets or len(inputs) != len(nets) or len({n.spec.layers for n in nets}) > 1:
         raise ValueError("a group needs networks of one layer stack and one input per network")
-    return net, inputs, False
 
 
 # Cached activations of one stack level of a group for exact backpropagation:
@@ -407,20 +401,18 @@ def _forward(nets, batches: list[list[np.ndarray]], traces: list | None = None):
     return probs, revs
 
 
-def network_forward(net, features, owned: bool = False):
-    """Class probabilities for a whole sequence plus the backward-pass trace.
-    A tuple of networks with one sequence each runs as one group and gives
-    the tuple of each network's probabilities, as alone, and one trace.
-    The trace keeps a copy of each network's parameters; ``owned`` says they
-    were made for this call and nothing changes them, so it keeps them as is."""
-    nets, (Xs,), single = as_group(net, features)
+def network_forward(nets, features, owned: bool = False):
+    """Class probabilities of each network over its own whole sequence, as
+    alone, from one group scan, plus the backward-pass trace. The trace keeps
+    a copy of each network's parameters; ``owned`` says they were made for
+    this call and nothing changes them, so it keeps them as is."""
+    _check_group(nets, features)
     traces: list[LayerTrace] = []
-    Xs = [[_checked(X, n.spec.input_dim)] for n, X in zip(nets, Xs)]
+    Xs = [[_checked(X, n.spec.input_dim)] for n, X in zip(nets, features)]
     probs, revs = _forward(nets, Xs, traces)
-    probs = [P[:, 0] for P in probs]
+    probs = tuple(P[:, 0] for P in probs)
     params = [n.flat if owned else n.flat.copy() for n in nets]
-    trace = ForwardTrace(layers=traces, probs=probs, rev=revs, params=params)
-    return (probs[0] if single else tuple(probs)), trace
+    return probs, ForwardTrace(layers=traces, probs=probs, rev=revs, params=params)
 
 
 # Most padded steps (longest x count) in one lockstep batch: scoring holds
@@ -429,16 +421,14 @@ def network_forward(net, features, owned: bool = False):
 SCORE_CHUNK = 2048
 
 
-def network_probs(net, sequences):
-    """Class probabilities of several sequences, scored in lockstep in batches
-    of similar length: sorted by length, each batch at most ``SCORE_CHUNK``
-    padded steps or one sequence, so memory stays bounded and padding small.
-    No trace is kept. A tuple of networks with a list of sequences each gives
-    a tuple of lists: each network's sequences are batched as alone, and its
-    i-th batch shares one scan with the other networks' i-th batches of its size.
-    """
-    nets, (seqs,), single = as_group(net, sequences)
-    Xs = [[_checked(X, n.spec.input_dim) for X in S] for n, S in zip(nets, seqs)]
+def network_probs(nets, sequences):
+    """Class probabilities of each network over each of its sequences, as
+    alone, with no trace: each network's sequences are sorted by length and
+    batched, each batch at most ``SCORE_CHUNK`` padded steps or one sequence,
+    so memory stays bounded and padding small; its i-th batch shares one scan
+    with the other networks' i-th batches of its size."""
+    _check_group(nets, sequences)
+    Xs = [[_checked(X, n.spec.input_dim) for X in S] for n, S in zip(nets, sequences)]
     batches = [[] for _ in nets]
     for own, S in zip(batches, Xs):
         order = sorted(range(len(S)), key=lambda s: len(S[s]))
@@ -458,7 +448,7 @@ def network_probs(net, sequences):
             for m, P in zip(group, probs):
                 for b, s in enumerate(batches[m][i]):
                     out[m][s] = P[: len(Xs[m][s]), b]
-    return out[0] if single else tuple(out)
+    return tuple(out)
 
 
 LOSS_EPS = 1e-12
@@ -528,23 +518,20 @@ def _layer_backward(layers: list[Layer], trace: LayerTrace, dOuts, revs, blocks,
     return dPs
 
 
-def network_backward(net, trace: ForwardTrace, labels):
-    """Exact gradients of the loss for every parameter, keyed like ``net.params``.
-
-    The values are views into one vector (``.flat``) laid out like the
-    network's. A group's trace takes the tuple of networks and one label
-    array each, and gives a tuple of gradients. Rejects a trace whose
-    parameter copy no longer equals its network: gradients against mutated
-    parameters would be silently wrong. The comparison is of bit patterns,
-    so a NaN parameter equals its copy.
-    """
-    nets, (Ys,), single = as_group(net, labels)
+def network_backward(nets, trace: ForwardTrace, labels):
+    """Each network's exact loss gradients from a group's trace and its one-hot
+    ``labels``: views, keyed like ``net.params``, into one vector (``.flat``)
+    laid out like the network's. Rejects a trace whose parameter copy no
+    longer equals its network: gradients against mutated parameters would be
+    silently wrong. The comparison is of bit patterns, so a NaN parameter
+    equals its copy."""
+    _check_group(nets, labels)
     if len(nets) != len(trace.params) or not all(
         np.array_equal(n.flat.view(np.int64), p.view(np.int64)) for n, p in zip(nets, trace.params)
     ):
         raise ValueError("stale trace: network parameters changed since forward pass")
     blocks, dHs = [], []
-    for n, P, Y, top in zip(nets, trace.probs, Ys, trace.layers[-1].outputs):
+    for n, P, Y, top in zip(nets, trace.probs, labels, trace.layers[-1].outputs):
         dP = _loss_backward(P, _check_one_hot(Y, P.shape))
         # softmax jacobian: dz = p * (dp - <dp, p>)
         dZ = P * (dP - (dP * P).sum(axis=1, keepdims=True))
@@ -554,8 +541,7 @@ def network_backward(net, trace: ForwardTrace, labels):
         levels = [n.layers[k] for n in nets]
         dHs = _layer_backward(levels, trace.layers[k], dHs, trace.rev, blocks, k > 0)
     # each network's blocks are released as soon as they are joined
-    grads = [ParamViews(n.spec, np.concatenate(blocks.pop(0))) for n in nets]
-    return grads[0] if single else tuple(grads)
+    return tuple(ParamViews(n.spec, np.concatenate(blocks.pop(0))) for n in nets)
 
 
 def predict_stages(probabilities: np.ndarray) -> np.ndarray:

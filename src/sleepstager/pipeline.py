@@ -17,7 +17,6 @@ from .features_low import FrameConfig, recording_low_features
 from .features_mid import (
     Dictionary,
     NormStats,
-    assemble_final,
     bow_encode,
     kmeans_fit,
     zscore_apply,
@@ -37,7 +36,7 @@ class FittedPipeline:
     def transform(self, low: np.ndarray) -> np.ndarray:
         """Low-level rows (T, d) to normalized final rows (T, d + K), all
         finite: a row that overflows is a ``NumericError``."""
-        final = assemble_final(low, bow_encode(low, self.dictionary))
+        final = np.concatenate([low, bow_encode(low, self.dictionary)], axis=1)
         out = zscore_apply(final, self.stats)
         if not np.isfinite(out).all():
             raise NumericError("features overflow float64 in the codebook distances or z-score")
@@ -67,7 +66,7 @@ def fit_pipeline(train_lows: list[np.ndarray], num_words: int, seed: int) -> Fit
     if len(stacked) < 2:
         raise DataValidationError("the training split has 1 epoch; z-score statistics need 2")
     dictionary = kmeans_fit(stacked, num_words, seed=seed)
-    final = assemble_final(stacked, bow_encode(stacked, dictionary))
+    final = np.concatenate([stacked, bow_encode(stacked, dictionary)], axis=1)
     stats = zscore_fit(final)
     return FittedPipeline(dictionary=dictionary, stats=stats)
 

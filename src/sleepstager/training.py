@@ -25,14 +25,11 @@ from .network import (
     NetSpec,
     Network,
     ParamViews,
-    as_group,
     loss,
     network_backward,
     network_forward,
     network_probs,
 )
-
-Sequence = tuple[np.ndarray, np.ndarray]  # (features (T, D), one-hot labels (T, M))
 
 
 @dataclass(frozen=True)
@@ -76,17 +73,14 @@ def init_params(spec: NetSpec, seed: int, init_std: float = 0.1) -> Network:
     return net
 
 
-def mean_loss(net: Network, sequences: list[Sequence]) -> float:
-    """Noise-free average loss over a split, every sequence scored in lockstep.
-    A tuple of networks with a split each is scored as a group (see
-    ``network_probs``) and gives a tuple of losses."""
-    nets, (splits,), single = as_group(net, sequences)
+def mean_loss(nets, splits) -> tuple[float, ...]:
+    """Noise-free average loss of each network ``nets[m]`` over its split
+    ``splits[m]``, every sequence of the group scored in lockstep."""
     probs = network_probs(nets, [[X for X, _ in split] for split in splits])
-    out = tuple(
+    return tuple(
         float(np.mean([loss(P, Y) for P, (_, Y) in zip(own, split)]))
         for own, split in zip(probs, splits)
     )
-    return out[0] if single else out
 
 
 # Most networks ``cross_validate`` trains as one group: each keeps its
@@ -98,11 +92,18 @@ LOCKSTEP_FOLDS = 4
 # -13 % at 64 units, +20 % at 128, +38 % at 400), and it holds every fold's
 # parameters at once.
 LOCKSTEP_MAX_UNITS = 64
+# Most bytes of training and validation sequences one group holds: four
+# folds of fourteen 2 h nights at 520 features (57 MB), but folds of
+# fourteen 8 h nights (56 MB each) one at a time.
+LOCKSTEP_MAX_BYTES = 64 << 20
 
 
-def lockstep_size(layers) -> int:
-    """How many networks of this layer stack ``cross_validate`` trains as one group."""
-    return LOCKSTEP_FOLDS if max(units for _, units in layers) <= LOCKSTEP_MAX_UNITS else 1
+def lockstep_size(layers, fold_bytes: int) -> int:
+    """How many networks of this layer stack ``cross_validate`` trains as one
+    group when each one's training and validation sequences take ``fold_bytes``."""
+    if max(units for _, units in layers) > LOCKSTEP_MAX_UNITS:
+        return 1
+    return max(1, min(LOCKSTEP_FOLDS, LOCKSTEP_MAX_BYTES // fold_bytes))
 
 
 def _sgd_pass(nets, splits, cfgs, rngs):
@@ -128,36 +129,31 @@ def _sgd_pass(nets, splits, cfgs, rngs):
         group = trace = grads = None  # not held through the next step's forward pass
 
 
-def train(
-    net: Network,
-    train_seqs: list[Sequence],
-    val_seqs: list[Sequence],
-    cfg: TrainConfig,
-    score_train: bool = True,
-) -> tuple[Network, list[tuple[float | None, float]]]:
-    """SGD with weight noise and early stopping on validation loss.
+def train(nets, trains, vals, cfgs, score_train: bool = True):
+    """SGD with weight noise and early stopping on validation loss, for a
+    group: ``nets[m]`` trains on ``trains[m]``, stops on ``vals[m]`` and
+    follows ``cfgs[m]``, getting what it gets alone. Step s of each pass and
+    each scoring run as one group call; a network that stops leaves the
+    group. A lone network with its own splits and config trains as a group
+    of one and gets no tuples back.
 
-    The input network is left untouched; work happens on a clone. After
-    each pass the validation split, and the training split when
-    ``score_train`` is set, are scored noise-free with the post-pass
-    parameters; the returned network carries the parameters of the best
-    validation pass. Stops after ``patience`` passes without improvement
-    or at ``max_passes``. Returns (best network, [(train_loss, val_loss)]
-    per completed pass), train_loss None when the training split is not
-    scored. ``fit_model`` (the ``train`` command) scores both splits;
-    ``cross_validate`` (``cv``, ``sweep``) scores only the validation split.
-    A pass that leaves a parameter or a scored loss non-finite raises
-    ``NumericError``: "training diverged in pass N: train loss T, val loss
-    V, K non-finite parameter(s)", without "train loss T, " when the
-    training split is not scored.
-
-    Tuples of networks, splits and configs, one each, train as a group and
-    give tuples of best networks and histories, each what that network gets
-    alone: step s of each pass and the scoring of each split run as one group
-    call, and a network that stops leaves the group. A ``NumericError`` names
-    the diverged network's place in the tuple as ``member``.
+    Inputs are left untouched; work happens on clones. After each pass the
+    validation split, and the training split when ``score_train`` is set,
+    are scored noise-free; a best network carries the parameters of its best
+    validation pass. A network stops after ``patience`` passes without
+    improvement or at ``max_passes``. Returns (best networks, histories of
+    (train_loss, val_loss) per pass), train_loss None when unscored. The
+    ``train`` command scores both splits, ``cv`` and ``sweep`` only the
+    validation split. A pass that leaves a parameter or a scored loss
+    non-finite raises ``NumericError`` with ``member`` its network's place:
+    "training diverged in pass N: train loss T, val loss V, K non-finite
+    parameter(s)", without "train loss T, " if unscored.
     """
-    nets, (trains, vals, cfgs), single = as_group(net, train_seqs, val_seqs, cfg)
+    if isinstance(nets, Network):
+        best, histories = train((nets,), (trains,), (vals,), (cfgs,), score_train)
+        return best[0], histories[0]
+    if not len(nets) == len(trains) == len(vals) == len(cfgs) >= 1:
+        raise ValueError("a group needs a training split, validation split and config per network")
     if not all(trains) or not all(vals):
         raise ValueError("train and validation splits must be non-empty")
     work = [n.clone() for n in nets]
@@ -186,7 +182,7 @@ def train(
                 since_best[m] += 1
         active = [m for m in active if since_best[m] < cfgs[m].patience]
         active = [m for m in active if len(histories[m]) < cfgs[m].max_passes]
-    return (best[0], histories[0]) if single else (tuple(best), histories)
+    return tuple(best), histories
 
 
 GRADCHECK_STEP = 1e-3  # the five-point stencil's finite-difference step
@@ -199,7 +195,7 @@ def finite_difference_gradients(net: Network, X: np.ndarray, Y: np.ndarray) -> P
     def eval_at(j, value) -> float:
         orig = net.flat[j]
         net.flat[j] = value
-        l = loss(network_forward(net, X)[0], Y)
+        l = loss(network_forward((net,), (X,))[0][0], Y)
         net.flat[j] = orig
         return l
 
@@ -229,7 +225,7 @@ def gradient_check(spec: NetSpec, T: int, seed: int) -> float:
     rng = np.random.Generator(np.random.Philox([seed, 1]))
     X = rng.standard_normal((T, spec.input_dim))
     Y = np.eye(spec.num_classes)[rng.integers(0, spec.num_classes, size=T)]
-    _, trace = network_forward(net, X)
-    ga = network_backward(net, trace, Y).flat
+    _, trace = network_forward((net,), (X,))
+    ga = network_backward((net,), trace, (Y,))[0].flat
     gn = finite_difference_gradients(net, X, Y).flat
     return float((np.abs(ga - gn) / np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)).max())

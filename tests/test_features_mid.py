@@ -6,13 +6,12 @@ from sleepstager.errors import NumericError
 from sleepstager.features_mid import (
     Dictionary,
     NormStats,
-    assemble_final,
     bow_encode,
     kmeans_fit,
     zscore_apply,
     zscore_fit,
 )
-from sleepstager.pipeline import fit_pipeline
+from sleepstager.pipeline import FittedPipeline, fit_pipeline
 
 
 def blobs(rng, k, per_blob, dim, spread=8.0, std=0.5):
@@ -204,12 +203,15 @@ class TestBowEncode:
 
 class TestAssembleAndZscore:
     def test_layout(self):
-        low = np.arange(220.0)
-        mid = np.arange(300.0) + 1000.0
-        final = assemble_final(low, mid)
-        assert final.shape == (520,)
-        assert final[0] == 0.0
-        assert final[220] == 1000.0
+        # a final row is the low block, then the distance to each word
+        low = np.arange(6.0).reshape(2, 3)
+        centers = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 9.0]])
+        d = Dictionary(centers=centers, iterations=1, objective=0.0, objective_history=(0.0,))
+        unit = NormStats(mean=np.zeros(5), std=np.ones(5))
+        final = FittedPipeline(d, unit).transform(low)
+        assert final.shape == (2, 5)
+        np.testing.assert_array_equal(final[:, :3], low)
+        np.testing.assert_allclose(final[:, 3:], np.sqrt([[0.0, 67.0], [27.0, 16.0]]), atol=1e-12)
 
     def test_zscore_hand_example(self):
         stats = zscore_fit(np.array([[0.0, 5.0], [2.0, 5.0]]))

@@ -57,9 +57,9 @@ def test_group_forward_and_backward_equal_each_network_alone(layers, Ts, seed):
     probs, trace = network_forward(nets, tuple(X for X, _ in seqs))
     grads = network_backward(nets, trace, tuple(Y for _, Y in seqs))
     for net, (X, Y), P, g in zip(nets, seqs, probs, grads):
-        alone, alone_trace = network_forward(net, X)
+        (alone,), alone_trace = network_forward((net,), (X,))
         assert same_bits(P, alone)
-        assert same_bits(g.flat, network_backward(net, alone_trace, Y).flat)
+        assert same_bits(g.flat, network_backward((net,), alone_trace, (Y,))[0].flat)
 
 
 @slow(30)
@@ -85,9 +85,9 @@ def score_group_and_alone(layers, splits, seed):
     group = network_probs(nets, tuple([X for X, _ in split] for split in data))
     losses = mean_loss(nets, data)
     for net, split, probs, value in zip(nets, data, group, losses):
-        alone = network_probs(net, [X for X, _ in split])
+        alone = network_probs((net,), ([X for X, _ in split],))[0]
         assert all(same_bits(a, b) for a, b in zip(probs, alone))
-        assert value == mean_loss(net, split)
+        assert value == mean_loss((net,), (split,))[0]
 
 
 @st.composite
@@ -177,28 +177,39 @@ def test_trace_copies_parameters_unless_the_caller_owns_them():
     frozen = init_params(spec, seed=6).flat.copy()
     frozen.flags.writeable = False
     net = network.Network(spec, frozen)
-    _, trace = network_forward(net, X)
+    _, trace = network_forward((net,), (X,))
     assert trace.params[0] is not frozen
     frozen.flags.writeable = True
     frozen[0] += 1.0
     with pytest.raises(ValueError, match="stale"):
-        network_backward(net, trace, Y)
+        network_backward((net,), trace, (Y,))
     owned = init_params(spec, seed=6)
-    _, owned_trace = network_forward(owned, X, owned=True)
+    _, owned_trace = network_forward((owned,), (X,), owned=True)
     assert owned_trace.params[0] is owned.flat
     alone = init_params(spec, seed=6)
-    _, alone_trace = network_forward(alone, X)
-    expected = network_backward(alone, alone_trace, Y).flat
-    assert same_bits(network_backward(owned, owned_trace, Y).flat, expected)
+    _, alone_trace = network_forward((alone,), (X,))
+    expected = network_backward((alone,), alone_trace, (Y,))[0].flat
+    assert same_bits(network_backward((owned,), owned_trace, (Y,))[0].flat, expected)
 
 
 def test_a_group_needs_one_input_per_network_and_one_stack():
     a = init_params(NetSpec(input_dim=D, num_classes=M, layers=(("lstm", 2),)), seed=0)
     b = init_params(NetSpec(input_dim=D, num_classes=M, layers=(("blstm", 2),)), seed=0)
-    X = np.zeros((3, D))
-    for nets, inputs in [((a, b), (X, X)), ((a, a), (X,)), ((), ())]:
+    X, Y = np.zeros((3, D)), np.eye(M)[[0, 1, 2]]
+    for nets, inputs in [((a, b), (X, X)), ((a, a), (X,)), ((a,), (X, X)), ((), ())]:
         with pytest.raises(ValueError, match="a group needs"):
             network_forward(nets, inputs)
+        with pytest.raises(ValueError, match="a group needs"):
+            network_probs(nets, [[x] for x in inputs])
+    _, trace = network_forward((a, a), (X, X))
+    for labels in [(Y,), (Y, Y, Y)]:
+        with pytest.raises(ValueError, match="a group needs"):
+            network_backward((a, a), trace, labels)
+    split, cfg = [(X, Y)], TrainConfig()
+    cases = [((a, a), (split,), (cfg, cfg)), ((a,), (split,), (cfg, cfg)), ((), (), ())]
+    for nets, splits, cfgs in cases:
+        with pytest.raises(ValueError, match="a group needs"):
+            train(nets, splits, splits, cfgs)
 
 
 def test_scoring_keeps_no_trace(monkeypatch):
@@ -216,7 +227,7 @@ def test_scoring_keeps_no_trace(monkeypatch):
     mean_loss((net, net), (seqs, seqs[:1]))
     assert flags == [False] * 4  # two levels, batches of 2 and 1 nights
     flags.clear()
-    network_forward(net, seqs[0][0])
+    network_forward((net,), (seqs[0][0],))
     assert flags == [True, True]
 
 
@@ -247,7 +258,8 @@ def test_cross_validation_folds_equal_fits_made_alone():
         )
         assert fold.passes_run == len(history)
         test_lows, refs = split(folds[f])
-        probs = [network_forward(model.net, model.pipeline.transform(x))[0] for x in test_lows]
+        features = [model.pipeline.transform(x) for x in test_lows]
+        probs = [network_forward((model.net,), (X,))[0][0] for X in features]
         preds = [np.argmax(P, axis=1) for P in probs]
         ref = np.concatenate(refs)
         cm = np.zeros((4, 4), dtype=np.int64)
@@ -270,8 +282,43 @@ def test_only_narrow_layers_train_in_lockstep(monkeypatch, units, sizes):
         return train(nets, *rest, score_train=score_train)
 
     monkeypatch.setattr(evaluate, "train", recording_train)
-    assert training.lockstep_size((("mlp", 8), ("blstm", units))) == sizes[0]
+    assert training.lockstep_size((("mlp", 8), ("blstm", units)), 1 << 20) == sizes[0]
     cross_validate(*cv_args(units), k=5, rounds=1, seed=9, num_classes=4)
+    assert seen == sizes
+
+
+def fold_bytes(nights, epochs, num_words=300, num_classes=5):
+    """Bytes of a fold's training and validation sequences at FrameConfig()."""
+    return nights * epochs * (FrameConfig().dim + num_words + num_classes) * 8
+
+
+@pytest.mark.parametrize(
+    "nights, epochs, size",
+    [
+        (6, 240, 4),  # bench cv: 8 nights of 2 h in 4 folds, 6.0 MB a fold
+        (14, 240, 4),  # acceptance cv: 16 nights of 2 h in 8 folds, 14.1 MB a fold
+        (14, 960, 1),  # 16 nights of 8 h in 8 folds, 56.4 MB a fold
+    ],
+)
+def test_a_group_holds_at_most_lockstep_max_bytes_of_sequences(nights, epochs, size):
+    assert training.lockstep_size((("blstm", 32),), fold_bytes(nights, epochs)) == size
+
+
+@pytest.mark.parametrize("spare, sizes", [(0, [2, 2, 1]), (-1, [1] * 5)])
+def test_cross_validation_bounds_groups_by_sequence_bytes(monkeypatch, spare, sizes):
+    seen = []
+
+    def recording_train(nets, *rest, score_train):
+        seen.append(len(nets))
+        return train(nets, *rest, score_train=score_train)
+
+    recs, frame, words, layers, cfg = cv_args(2)
+    # 5 folds of one 8-epoch night: 4 nights train and validate each fit;
+    # the bound holds two such folds, or one byte less
+    per_fold = 4 * 8 * (frame.dim + words + 4) * 8
+    monkeypatch.setattr(training, "LOCKSTEP_MAX_BYTES", 2 * per_fold + spare)
+    monkeypatch.setattr(evaluate, "train", recording_train)
+    cross_validate(recs, frame, words, layers, cfg, k=5, rounds=1, seed=9, num_classes=4)
     assert seen == sizes
 
 

@@ -112,8 +112,8 @@ def test_reloaded_model_predicts_identically(tmp_path):
     xa = model.pipeline.transform(low)
     xb = back.pipeline.transform(low)
     np.testing.assert_array_equal(xa, xb)
-    pa, _ = network_forward(model.net, xa)
-    pb, _ = network_forward(back.net, xb)
+    (pa,), _ = network_forward((model.net,), (xa,))
+    (pb,), _ = network_forward((back.net,), (xb,))
     np.testing.assert_array_equal(pa, pb)
 
 

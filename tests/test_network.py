@@ -184,13 +184,14 @@ class TestLayerForward:
 class TestNetworkForward:
     def test_zero_net_is_uniform(self):
         net = Network.zeros(NetSpec(input_dim=6, num_classes=5, layers=(("blstm", 3),)))
-        probs, _ = network_forward(net, np.random.default_rng(6).standard_normal((4, 6)))
+        X = np.random.default_rng(6).standard_normal((4, 6))
+        (probs,), _ = network_forward((net,), (X,))
         np.testing.assert_allclose(probs, 0.2, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         net = random_net(NetSpec(input_dim=5, num_classes=4, layers=(("lstm", 6), ("mlp", 3))), 7)
-        probs, _ = network_forward(net, rng.standard_normal((11, 5)))
+        (probs,), _ = network_forward((net,), (rng.standard_normal((11, 5)),))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs > 0)
 
@@ -199,7 +200,7 @@ class TestNetworkForward:
         spec = NetSpec(input_dim=4, num_classes=5, layers=(("blstm", 3), ("lstm", 4)))
         net = random_net(spec, 8)
         X = rng.standard_normal((6, 4))
-        probs, _ = network_forward(net, X)
+        (probs,), _ = network_forward((net,), (X,))
         manual = layer_forward(net.layers[1], layer_forward(net.layers[0], X))
         logits = manual @ net.params["out.W"].T + net.params["out.b"]
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -210,9 +211,9 @@ class TestNetworkForward:
         spec = NetSpec(input_dim=3, num_classes=5, layers=(("mlp", 4),))
         net = random_net(spec, 9)
         X = rng.standard_normal((5, 3))
-        base, _ = network_forward(net, X)
+        (base,), _ = network_forward((net,), (X,))
         net.params["out.b"] += 3.7  # same shift for every class
-        shifted, _ = network_forward(net, X)
+        (shifted,), _ = network_forward((net,), (X,))
         np.testing.assert_allclose(shifted, base, atol=1e-12)
         np.testing.assert_array_equal(predict_stages(shifted), predict_stages(base))
 
@@ -221,15 +222,15 @@ class TestNetworkForward:
         net = random_net(NetSpec(input_dim=4, num_classes=5, layers=(("lstm", 5),)), 10)
         A = rng.standard_normal((7, 4))
         B = rng.standard_normal((7, 4))
-        network_forward(net, A)
-        pb, _ = network_forward(net, B)
-        pb_alone, _ = network_forward(net, B)
+        network_forward((net,), (A,))
+        (pb,), _ = network_forward((net,), (B,))
+        (pb_alone,), _ = network_forward((net,), (B,))
         np.testing.assert_array_equal(pb, pb_alone)
 
     def test_dimension_mismatch_rejected(self):
         net = Network.zeros(NetSpec(input_dim=4, num_classes=5))
         with pytest.raises(ValueError):
-            network_forward(net, np.zeros((3, 5)))
+            network_forward((net,), (np.zeros((3, 5)),))
 
 
 class TestLoss:
@@ -268,36 +269,36 @@ class TestBackward:
     def test_stale_trace_detected(self):
         rng = np.random.default_rng(11)
         net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("lstm", 4),)), 11)
-        _, trace = network_forward(net, rng.standard_normal((5, 3)))
+        _, trace = network_forward((net,), (rng.standard_normal((5, 3)),))
         net.params["layer0.fwd.W_xi"][0, 0] += 1.0
         with pytest.raises(ValueError, match="stale"):
-            network_backward(net, trace, np.eye(5)[[0, 1, 2, 3, 4]])
+            network_backward((net,), trace, (np.eye(5)[[0, 1, 2, 3, 4]],))
 
     def test_sign_flip_is_stale(self):
         # a sum of magnitudes cannot see this change
         rng = np.random.default_rng(11)
         net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("lstm", 4),)), 11)
-        _, trace = network_forward(net, rng.standard_normal((5, 3)))
+        _, trace = network_forward((net,), (rng.standard_normal((5, 3)),))
         net.params["layer0.fwd.W_hf"][1, 2] *= -1.0
         with pytest.raises(ValueError, match="stale"):
-            network_backward(net, trace, np.eye(5)[[0, 1, 2, 3, 4]])
+            network_backward((net,), trace, (np.eye(5)[[0, 1, 2, 3, 4]],))
 
     def test_swapped_weights_are_stale(self):
         rng = np.random.default_rng(11)
         net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("blstm", 2),)), 11)
-        _, trace = network_forward(net, rng.standard_normal((5, 3)))
+        _, trace = network_forward((net,), (rng.standard_normal((5, 3)),))
         W = net.params["out.W"]
         W[[0, 1]] = W[[1, 0]]
         with pytest.raises(ValueError, match="stale"):
-            network_backward(net, trace, np.eye(5)[[0, 1, 2, 3, 4]])
+            network_backward((net,), trace, (np.eye(5)[[0, 1, 2, 3, 4]],))
 
     def test_gradient_shapes_match_params(self):
         rng = np.random.default_rng(12)
         spec = NetSpec(input_dim=4, num_classes=4, layers=(("blstm", 3), ("mlp", 5)))
         net = random_net(spec, 12)
         Y = np.eye(4)[rng.integers(0, 4, size=6)]
-        _, trace = network_forward(net, rng.standard_normal((6, 4)))
-        grads = network_backward(net, trace, Y)
+        _, trace = network_forward((net,), (rng.standard_normal((6, 4)),))
+        grads = network_backward((net,), trace, (Y,))[0]
         assert set(grads) == set(net.params)
         for name, g in grads.items():
             assert g.shape == net.params[name].shape
@@ -308,10 +309,10 @@ class TestBackward:
         net = random_net(NetSpec(input_dim=3, num_classes=5, layers=(("blstm", 2),)), 13)
         X = rng.standard_normal((4, 3))
         Y = np.eye(5)[[0, 1, 2, 3]]
-        _, tr1 = network_forward(net, X)
-        g1 = network_backward(net, tr1, Y)
-        _, tr2 = network_forward(net, X)
-        g2 = network_backward(net, tr2, Y)
+        _, tr1 = network_forward((net,), (X,))
+        g1 = network_backward((net,), tr1, (Y,))[0]
+        _, tr2 = network_forward((net,), (X,))
+        g2 = network_backward((net,), tr2, (Y,))[0]
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
 
@@ -323,8 +324,8 @@ class TestBackward:
         net = random_net(spec, 14, scale=0.6)
         X = rng.standard_normal((5, 2))
         Y = np.eye(4)[rng.integers(0, 4, size=5)]
-        _, trace = network_forward(net, X)
-        grads = network_backward(net, trace, Y)
+        _, trace = network_forward((net,), (X,))
+        grads = network_backward((net,), trace, (Y,))[0]
         step = 1e-5
         for name, arr in net.params.items():
             it = np.nditer(arr, flags=["multi_index"])
@@ -332,9 +333,9 @@ class TestBackward:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + step
-                up = loss(network_forward(net, X)[0], Y)
+                up = loss(network_forward((net,), (X,))[0][0], Y)
                 arr[idx] = orig - step
-                dn = loss(network_forward(net, X)[0], Y)
+                dn = loss(network_forward((net,), (X,))[0][0], Y)
                 arr[idx] = orig
                 fd = (up - dn) / (2 * step)
                 ga = grads[name][idx]
@@ -351,7 +352,7 @@ class TestPerGateOracle:
         net = random_net(NetSpec(input_dim=4, num_classes=5, layers=ORACLE_STACKS[stack]), 20)
         for T in (1, 2, 9):
             X = rng.standard_normal((T, 4))
-            probs, _ = network_forward(net, X)
+            (probs,), _ = network_forward((net,), (X,))
             np.testing.assert_allclose(probs, oracle_probs(net, X)[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("stack", sorted(ORACLE_STACKS))
@@ -361,8 +362,8 @@ class TestPerGateOracle:
         for T in (1, 2, 9):
             X = rng.standard_normal((T, 4))
             Y = np.eye(5)[rng.integers(0, 5, size=T)]
-            _, trace = network_forward(net, X)
-            grads = network_backward(net, trace, Y)
+            _, trace = network_forward((net,), (X,))
+            grads = network_backward((net,), trace, (Y,))[0]
             expect = network_gradients(net, X, Y)
             assert list(grads) == list(net.params)
             assert set(expect) == set(grads)
@@ -376,8 +377,9 @@ class TestPerGateOracle:
         rng = np.random.default_rng(22)
         net = random_net(NetSpec(input_dim=4, num_classes=5, layers=ORACLE_STACKS[stack]), 22)
         seqs = [rng.standard_normal((T, 4)) for T in (7, 1, 12, 3)]
-        for X, probs in zip(seqs, network_probs(net, seqs)):
-            np.testing.assert_allclose(probs, network_forward(net, X)[0], rtol=0, atol=1e-12)
+        for X, probs in zip(seqs, network_probs((net,), (seqs,))[0]):
+            (alone,), _ = network_forward((net,), (X,))
+            np.testing.assert_allclose(probs, alone, rtol=0, atol=1e-12)
 
     def test_lockstep_groups_are_bounded_and_sorted(self, monkeypatch):
         # a small chunk forces several groups; each stays within it (or is a
@@ -386,7 +388,7 @@ class TestPerGateOracle:
         rng = np.random.default_rng(24)
         net = random_net(NetSpec(input_dim=4, num_classes=5, layers=(("blstm", 3),)), 24)
         seqs = [rng.standard_normal((T, 4)) for T in (9, 2, 30, 4, 1, 8, 5)]
-        expect = [network_forward(net, X)[0] for X in seqs]
+        expect = [network_forward((net,), (X,))[0][0] for X in seqs]
         batches = []
         forward = network._forward
 
@@ -397,7 +399,7 @@ class TestPerGateOracle:
 
         monkeypatch.setattr(network, "SCORE_CHUNK", 16)
         monkeypatch.setattr(network, "_forward", recording_forward)
-        probs = network_probs(net, seqs)
+        probs = network_probs((net,), (seqs,))[0]
         assert batches == [[1, 2, 4], [5, 8], [9], [30]]
         for P, E in zip(probs, expect):
             np.testing.assert_allclose(P, E, rtol=0, atol=1e-12)
@@ -405,8 +407,8 @@ class TestPerGateOracle:
     def test_gradients_are_views_of_one_vector(self):
         rng = np.random.default_rng(23)
         net = random_net(NetSpec(input_dim=3, num_classes=4, layers=(("blstm", 2), ("mlp", 3))), 23)
-        _, trace = network_forward(net, rng.standard_normal((4, 3)))
-        grads = network_backward(net, trace, np.eye(4)[[0, 1, 2, 3]])
+        _, trace = network_forward((net,), (rng.standard_normal((4, 3)),))
+        grads = network_backward((net,), trace, (np.eye(4)[[0, 1, 2, 3]],))[0]
         flat = np.concatenate([g.ravel() for g in grads.values()])
         np.testing.assert_array_equal(grads.flat, flat)
         assert all(np.shares_memory(g, grads.flat) for g in grads.values())

@@ -66,4 +66,4 @@ def test_readme_number_forms(tmp_path, capsys):
         else:
             assert cli.main(["validate", night]) == 2, form
             err = capsys.readouterr().err
-            assert err.startswith(f"data error: {hr}: ") and "at row 0, column 2" in err, err
+            assert err.startswith(f"data error: {hr}: ") and "at line 2, column 2" in err, err

@@ -39,7 +39,7 @@ def two_point_gradients(net, X, Y, step):
         ends = []
         for value in (w + step, w - step):
             net.flat[j] = value
-            ends.append(loss(network_forward(net, X)[0], Y))
+            ends.append(loss(network_forward((net,), (X,))[0][0], Y))
         net.flat[j] = w
         fd[j] = (ends[0] - ends[1]) / (2.0 * step)
     return ParamViews(net.spec, fd)
@@ -174,9 +174,10 @@ class TestMeanLoss:
         spec = NetSpec(input_dim=2, num_classes=4, layers=layers)
         net = init_params(spec, seed=16, init_std=0.5)
         seqs = [toy_sequences(rng, 1, T)[0] for T in (9, 1, 14, 5)]
-        looped = np.mean([loss(network_forward(net, X)[0], Y) for X, Y in seqs])
-        assert abs(mean_loss(net, seqs) - looped) <= 1e-12 * looped
-        assert mean_loss(net, seqs[1:2]) == loss(network_forward(net, seqs[1][0])[0], seqs[1][1])
+        looped = np.mean([loss(network_forward((net,), (X,))[0][0], Y) for X, Y in seqs])
+        assert abs(mean_loss((net,), (seqs,))[0] - looped) <= 1e-12 * looped
+        X, Y = seqs[1]
+        assert mean_loss((net,), (seqs[1:2],))[0] == loss(network_forward((net,), (X,))[0][0], Y)
 
 
 class TestTrain:
@@ -224,12 +225,12 @@ class TestTrain:
         for _ in range(3):
             for s in stream.permutation(3):
                 X, Y = seqs[s]
-                _, trace = network_forward(manual, X)
-                grads = network_backward(manual, trace, Y)
+                _, trace = network_forward((manual,), (X,))
+                grads = network_backward((manual,), trace, (Y,))[0]
                 for name, arr in manual.params.items():
                     arr -= 0.05 * grads[name]
-            tl = mean_loss(manual, seqs[:3])
-            vl = mean_loss(manual, [seqs[3]])
+            tl = mean_loss((manual,), (seqs[:3],))[0]
+            vl = mean_loss((manual,), ([seqs[3]],))[0]
             manual_hist.append((tl, vl))
             if vl < best_val:
                 best_val = vl
@@ -247,12 +248,12 @@ class TestTrain:
             learning_rate=0.3, weight_noise_std=0.0, max_passes=150,
             patience=150, seed=3,
         )
-        initial = mean_loss(net, seqs[:4])
+        initial = mean_loss((net,), (seqs[:4],))[0]
         trained, history = train(net, seqs[:4], seqs[4:], cfg)
-        final = mean_loss(trained, seqs[:4])
+        final = mean_loss((trained,), (seqs[:4],))[0]
         assert final < 0.5 * initial
         X, Y = seqs[4]
-        probs, _ = network_forward(trained, X)
+        (probs,), _ = network_forward((trained,), (X,))
         accuracy = np.mean(np.argmax(probs, axis=1) == np.argmax(Y, axis=1))
         assert accuracy >= 0.9
 
@@ -282,7 +283,7 @@ class TestTrain:
                           patience=3, seed=6)
         trained, history = train(net, seqs[:3], seqs[3:], cfg)
         vals = [v for _, v in history]
-        assert mean_loss(trained, seqs[3:]) == min(vals)
+        assert mean_loss((trained,), (seqs[3:],))[0] == min(vals)
         assert len(history) <= 10
 
     def test_empty_split_rejected(self):
