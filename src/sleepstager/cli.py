@@ -43,7 +43,7 @@ from .features_low import recording_low_features
 from .features_mid import kmeans_fit
 from .ingest import _fmt, load_cohort, save_recording, stages_to_indices, write_csv
 from .modelio import load_model, save_dictionary, save_model
-from .network import LAYER_KINDS, NetSpec, layer_stack, network_forward, predict_stages
+from .network import DIRECTIONS, NetSpec, layer_stack, network_forward, predict_stages
 from .pipeline import check_num_words
 from .synth import SynthConfig, generate_cohort
 from .training import gradient_check
@@ -100,10 +100,9 @@ def cmd_synth(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _cfg(args)
-    frame = cfg.frame()
     recs = load_cohort(args.data)
     # every night is checked before the first file is written
-    all_lows = [recording_low_features(rec, frame) for rec in recs]
+    all_lows = [recording_low_features(rec, cfg.frame) for rec in recs]
     os.makedirs(args.out, exist_ok=True)
     for rec, lows in zip(recs, all_lows):
         path = os.path.join(args.out, f"{rec.subject_id}_low.npy")
@@ -114,9 +113,8 @@ def cmd_extract(args) -> int:
 
 def cmd_fit_dict(args) -> int:
     cfg = _cfg(args)
-    frame = cfg.frame()
     recs = load_cohort(args.data)
-    stacked = np.concatenate([recording_low_features(r, frame) for r in recs], axis=0)
+    stacked = np.concatenate([recording_low_features(r, cfg.frame) for r in recs], axis=0)
     check_num_words(cfg.num_words, len(stacked))
     d = kmeans_fit(stacked, cfg.num_words, seed=cfg.seed)
     save_dictionary(d, args.out)
@@ -151,21 +149,20 @@ def _split_train_val(recs, args, cfg):
 
 def cmd_train(args) -> int:
     cfg = _cfg(args)
-    frame = cfg.frame()
     recs = load_cohort(args.data)
     train_recs, val_recs = _split_train_val(recs, args, cfg)
 
     def split(group):
-        lows = [recording_low_features(r, frame) for r in group]
+        lows = [recording_low_features(r, cfg.frame) for r in group]
         return lows, [stages_to_indices(r.labels, cfg.num_classes) for r in group]
 
     model, history = fit_model(
         split(train_recs),
         split(val_recs),
-        frame,
+        cfg.frame,
         cfg.num_words,
         cfg.net_layers(),
-        cfg.train_config(),
+        cfg.train,
         cfg.num_classes,
         (cfg.seed,) * 3,
     )
@@ -211,10 +208,10 @@ def _cross_validate(cfg: RunConfig, recs, net_layers):
     """Cross-validate ``net_layers`` on ``recs`` under ``cfg``."""
     return cross_validate(
         recs,
-        frame=cfg.frame(),
+        frame=cfg.frame,
         num_words=cfg.num_words,
         net_layers=net_layers,
-        train_cfg=cfg.train_config(),
+        train_cfg=cfg.train,
         k=cfg.folds,
         rounds=cfg.rounds,
         seed=cfg.seed,
@@ -341,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "gradcheck", parents=[common], help="verify gradients numerically"
     )
-    p.add_argument("--kind", choices=LAYER_KINDS, default="blstm")
+    p.add_argument("--kind", choices=DIRECTIONS, default="blstm")
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--units", type=int, default=8)
     p.add_argument("--seq-len", type=int, default=12)

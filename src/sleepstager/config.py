@@ -18,7 +18,8 @@ from .training import TrainConfig
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of the pipeline in one place.
+    """Every tunable of the pipeline: the run's own settings, plus the frame
+    sizes in ``frame`` and the SGD schedule in ``train``.
 
     Defaults follow the reference setup: 30 s epochs framed 10 at a time,
     5 frequency components, 30 cepstrum components, a 300-word codebook,
@@ -27,18 +28,10 @@ class RunConfig:
     cross-validation repeated 3 times over 5 classes.
     """
 
-    frame_epochs: int = 10
-    freq_components: int = 5
-    cepstrum_components: int = 30
     num_words: int = 300
     hidden_type: str = "blstm"
     layers: int = 1
     units: int = 400
-    learning_rate: float = 1e-6
-    init_std: float = 0.1
-    weight_noise_std: float = 0.005
-    max_passes: int = 100
-    patience: int = 10
     folds: int = 8
     rounds: int = 3
     num_classes: int = 5
@@ -47,10 +40,10 @@ class RunConfig:
     sweep_types: str = "mlp,lstm,blstm"
     sweep_layers: str = "1,2"
     sweep_units: str = "32,64"
+    frame: FrameConfig = FrameConfig()
+    train: TrainConfig = TrainConfig()
 
     def __post_init__(self):
-        self.frame()
-        self.train_config()
         check_net_shape(self.net_layers(), self.num_classes)
         checks = [
             (self.num_words >= 1, "num_words must be >= 1"),
@@ -63,25 +56,8 @@ class RunConfig:
             if not ok:
                 raise ConfigError(message)
 
-    def frame(self) -> FrameConfig:
-        return FrameConfig(
-            frame_epochs=self.frame_epochs,
-            freq_components=self.freq_components,
-            cepstrum_components=self.cepstrum_components,
-        )
-
     def net_layers(self) -> tuple[tuple[str, int], ...]:
         return layer_stack(self.hidden_type, self.units, self.layers)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            init_std=self.init_std,
-            weight_noise_std=self.weight_noise_std,
-            max_passes=self.max_passes,
-            patience=self.patience,
-            seed=self.seed,
-        )
 
     def sweep_grid(self) -> list[tuple[str, int, int]]:
         """All (hidden_type, layers, units) combinations of the sweep lists."""
@@ -102,13 +78,20 @@ class RunConfig:
         return grid
 
 
-_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# key -> (the class that declares it, its type); ``seed`` is the run's, so
+# ``TrainConfig.seed`` is no key
+KEYS = {
+    f.name: (cls, type(f.default))
+    for cls in (RunConfig, FrameConfig, TrainConfig)
+    for f in dataclasses.fields(cls)
+    if f.name not in ("frame", "train") and (cls, f.name) != (TrainConfig, "seed")
+}
 
 
 def _coerce(key: str, raw: str):
-    if key not in _FIELDS:
+    if key not in KEYS:
         raise ConfigError(f"unknown config key: {key!r}")
-    kind = _FIELDS[key]
+    kind = KEYS[key][1]
     try:
         if kind is int:
             return int(raw)
@@ -145,4 +128,9 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, _, value = item.partition("=")
         merged[key.strip()] = _coerce(key.strip(), value.strip())
-    return RunConfig(**merged)
+    parts = {cls: {} for cls in (RunConfig, FrameConfig, TrainConfig)}
+    for key, value in merged.items():
+        parts[KEYS[key][0]][key] = value
+    # checked in this order: frame sizes, SGD schedule, then the run's own settings
+    frame, train = FrameConfig(**parts[FrameConfig]), TrainConfig(**parts[TrainConfig])
+    return RunConfig(**parts[RunConfig], frame=frame, train=train)

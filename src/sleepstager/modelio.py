@@ -44,7 +44,10 @@ def _pack(header: dict, arrays: list[np.ndarray], magic: bytes) -> bytes:
     return magic + struct.pack("<Q", len(blob)) + blob + body
 
 
-def _unpack(data: bytes, magic: bytes, path: str) -> tuple[dict, np.ndarray]:
+def _unpack(path: str, magic: bytes) -> tuple[dict, np.ndarray]:
+    """The header and float64 body of the ``magic`` file at ``path``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     if len(data) < 16 or data[:8] != magic:
         raise DataValidationError(f"{path}: not a {magic.decode()} file")
     (hlen,) = struct.unpack("<Q", data[8:16])
@@ -58,8 +61,9 @@ def _unpack(data: bytes, magic: bytes, path: str) -> tuple[dict, np.ndarray]:
         raise DataValidationError(f"{path}: corrupt header")
     if (len(data) - 16 - hlen) % 8:
         raise DataValidationError(f"{path}: body is not a whole number of float64 values")
-    body = np.frombuffer(data[16 + hlen :], dtype="<f8")
-    return header, body
+    if header.get("version") != FORMAT_VERSION:
+        raise DataValidationError(f"{path}: unsupported version {header.get('version')!r}")
+    return header, np.frombuffer(data[16 + hlen :], dtype="<f8")
 
 
 def _arrays(body: np.ndarray, meta, path: str) -> dict[str, np.ndarray]:
@@ -118,11 +122,7 @@ def save_model(model: FittedModel, path: str) -> None:
     header = {
         "version": FORMAT_VERSION,
         "num_classes": model.num_classes,
-        "frame": {
-            "frame_epochs": model.frame.frame_epochs,
-            "freq_components": model.frame.freq_components,
-            "cepstrum_components": model.frame.cepstrum_components,
-        },
+        "frame": vars(model.frame),
         "final_dim": model.pipeline.final_dim,
         "layers": [[kind, hidden] for kind, hidden in model.net.spec.layers],
         "arrays": array_meta,
@@ -146,16 +146,8 @@ def _dictionary(centers, num_words, low_dim, iterations, objective, history, pat
     raise DataValidationError(f"{path}: {fault}")
 
 
-def _check_version(header: dict, path: str) -> None:
-    if header.get("version") != FORMAT_VERSION:
-        raise DataValidationError(f"{path}: unsupported version {header.get('version')!r}")
-
-
 def load_model(path: str) -> FittedModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header, body = _unpack(data, MODEL_MAGIC, path)
-    _check_version(header, path)
+    header, body = _unpack(path, MODEL_MAGIC)
     try:
         frame = FrameConfig(**header["frame"])
         spec = NetSpec(
@@ -218,10 +210,7 @@ def save_dictionary(d: Dictionary, path: str) -> None:
 
 
 def load_dictionary(path: str) -> Dictionary:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header, body = _unpack(data, DICT_MAGIC, path)
-    _check_version(header, path)
+    header, body = _unpack(path, DICT_MAGIC)
     try:
         (array,) = header["arrays"]
         codebook = _read_codebook_fields(header, "")

@@ -28,7 +28,8 @@ from scipy.special import expit
 
 from .errors import ConfigError
 
-LAYER_KINDS = ("mlp", "lstm", "blstm")
+# each layer kind and the directions it scans: an mlp layer scans none
+DIRECTIONS = {"mlp": 0, "lstm": 1, "blstm": 2}
 MAX_LAYERS = 4
 
 # canonical field order of one direction; the layout table, the flat
@@ -69,8 +70,8 @@ def check_net_shape(layers, num_classes: int) -> None:
         raise ConfigError("num_classes must be 4 or 5")
     _check_depth(len(layers))
     for kind, units in layers:
-        if kind not in LAYER_KINDS:
-            raise ConfigError(f"hidden_type must be one of {LAYER_KINDS}, got {kind!r}")
+        if kind not in DIRECTIONS:
+            raise ConfigError(f"hidden_type must be one of {tuple(DIRECTIONS)}, got {kind!r}")
         if units < 1:
             raise ConfigError("units must be >= 1")
 
@@ -97,7 +98,7 @@ class NetSpec:
         dims = []
         d = self.input_dim
         for kind, hidden in self.layers:
-            out = 2 * hidden if kind == "blstm" else hidden
+            out = max(DIRECTIONS[kind], 1) * hidden
             dims.append((d, out))
             d = out
         return dims
@@ -114,8 +115,7 @@ class NetSpec:
                 out.append((f"layer{k}.mlp.W", (hidden, d_in)))
                 out.append((f"layer{k}.mlp.b", (hidden,)))
             else:
-                directions = ("fwd",) if kind == "lstm" else ("fwd", "bwd")
-                for direction in directions:
+                for direction in ("fwd", "bwd")[: DIRECTIONS[kind]]:
                     for name, shape in _lstm_shapes(d_in, hidden).items():
                         out.append((f"layer{k}.{direction}.{name}", shape))
         out.append(("out.W", (self.num_classes, self.last_output_dim)))
@@ -160,7 +160,7 @@ class Layer:
         H, D = self.hidden, self.inputs
         if self.kind == "mlp":
             return self.block[: H * D].reshape(H, D), self.block[H * D :]
-        L = self.block.reshape(2 if self.kind == "blstm" else 1, -1)
+        L = self.block.reshape(DIRECTIONS[self.kind], -1)
         Wx, Wh, wc, b = np.split(L, np.cumsum([4 * H * D, 4 * H * H, 3 * H]), axis=1)
         return Wx.reshape(-1, 4 * H, D), Wh.reshape(-1, 4 * H, H), wc.reshape(-1, 3, H), b
 
@@ -332,7 +332,7 @@ def _layer_forward(layers: list[Layer], inputs, revs: list[np.ndarray], trace: b
     batch, read once from ``inputs``. A recurrent level runs one scan for the
     group, each network's cells padded at their ends to the longest T_m.
     Inputs and scan arrays are kept only when ``trace``."""
-    K = {"mlp": 0, "lstm": 1, "blstm": 2}[layers[0].kind]  # directions
+    K = DIRECTIONS[layers[0].kind]
     A = np.zeros((max(map(len, revs)), K * len(layers), revs[0].shape[1], 4 * layers[0].hidden))
     kept, outputs = [], []
     for m, (layer, P, rev) in enumerate(zip(layers, inputs, revs)):

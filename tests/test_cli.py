@@ -1,6 +1,5 @@
 """End-to-end tests of the command line: exit codes, files, determinism."""
 
-import dataclasses
 import json
 import os
 import shutil
@@ -13,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sleepstager import cli, evaluate
-from sleepstager.config import RunConfig
+from sleepstager.config import KEYS
 from sleepstager.evaluate import fit_model
 from sleepstager.features_low import FrameConfig, recording_low_features
 from sleepstager.ingest import load_cohort, stages_to_indices
@@ -610,17 +609,21 @@ def test_a_network_numpy_cannot_allocate_is_a_config_error(cohort_dir, tmp_path,
 
 
 HUGE = "1" + "0" * 308
-FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 # huge values go only to float keys and to keys rejected before anything
 # of their size is allocated; a huge units, freq_components,
 # cepstrum_components, max_passes, patience or rounds would run out of memory
 HUGE_OK = {"folds", "num_words", "layers", "val_count", "frame_epochs"}
 SETTINGS = [
     f"{key}={value}"
-    for key, kind in FIELDS.items()
+    for key, (_, kind) in KEYS.items()
     for value in ["nan", "inf", "-inf", "0", "-1"]
     + (["1e308"] if kind is float else [HUGE] if key in HUGE_OK else [])
 ]
+
+
+def test_set_values_cover_every_config_key():
+    assert {setting.partition("=")[0] for setting in SETTINGS} == set(KEYS)
+    assert len(KEYS) == 20
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

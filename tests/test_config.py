@@ -2,24 +2,89 @@
 
 import pytest
 
-from sleepstager.config import ConfigError, RunConfig, load_config, parse_config_text
+from sleepstager.config import KEYS, ConfigError, RunConfig, load_config, parse_config_text
 from sleepstager.features_low import FrameConfig
+from sleepstager.training import TrainConfig
 
 
 def test_defaults_follow_reference_setup():
     cfg = RunConfig()
-    assert cfg.frame() == FrameConfig(
+    assert cfg.frame == FrameConfig(
         frame_epochs=10, freq_components=5, cepstrum_components=30
     )
     assert cfg.num_words == 300
     assert cfg.net_layers() == (("blstm", 400),)
-    tc = cfg.train_config()
+    tc = cfg.train
     assert tc.learning_rate == 1e-6
     assert tc.init_std == 0.1
     assert tc.weight_noise_std == 0.005
     assert tc.max_passes == 100
     assert tc.patience == 10
     assert (cfg.folds, cfg.rounds, cfg.num_classes) == (8, 3, 5)
+
+
+# every key, its type and default, as the CLI has always read them
+KEY_DEFAULTS = {
+    "frame_epochs": (int, 10),
+    "freq_components": (int, 5),
+    "cepstrum_components": (int, 30),
+    "num_words": (int, 300),
+    "hidden_type": (str, "blstm"),
+    "layers": (int, 1),
+    "units": (int, 400),
+    "learning_rate": (float, 1e-6),
+    "init_std": (float, 0.1),
+    "weight_noise_std": (float, 0.005),
+    "max_passes": (int, 100),
+    "patience": (int, 10),
+    "folds": (int, 8),
+    "rounds": (int, 3),
+    "num_classes": (int, 5),
+    "seed": (int, 0),
+    "val_count": (int, 1),
+    "sweep_types": (str, "mlp,lstm,blstm"),
+    "sweep_layers": (str, "1,2"),
+    "sweep_units": (str, "32,64"),
+}
+
+
+def test_keys_are_the_declaring_classes_fields():
+    assert {key: kind for key, (_, kind) in KEYS.items()} == {
+        key: kind for key, (kind, _) in KEY_DEFAULTS.items()
+    }
+    for key, (cls, _) in KEYS.items():
+        assert getattr(cls(), key) == KEY_DEFAULTS[key][1], key
+    owners = {key: cls for key, (cls, _) in KEYS.items()}
+    assert {k for k, c in owners.items() if c is FrameConfig} == {
+        "frame_epochs", "freq_components", "cepstrum_components"
+    }
+    assert {k for k, c in owners.items() if c is TrainConfig} == {
+        "learning_rate", "init_std", "weight_noise_std", "max_passes", "patience"
+    }
+    # a frame or SGD setting is declared in its own class only
+    run_fields = set(RunConfig.__dataclass_fields__)
+    assert not run_fields & {k for k, c in owners.items() if c is not RunConfig}
+
+
+def test_keys_reach_the_class_that_declares_them():
+    cfg = load_config(None, ["cepstrum_components=12", "patience=4", "seed=7", "units=16"])
+    assert cfg.frame == FrameConfig(cepstrum_components=12)
+    assert cfg.train == TrainConfig(patience=4)  # the seed stays the run's
+    assert (cfg.seed, cfg.units) == (7, 16)
+
+
+@pytest.mark.parametrize("key", ["frame", "train"])
+def test_nested_configs_are_not_keys(key):
+    with pytest.raises(ConfigError, match=f"unknown config key: '{key}'"):
+        load_config(None, [f"{key}=1"])
+
+
+def test_frame_then_sgd_then_run_settings_are_checked():
+    bad = ["num_words=0", "patience=0", "frame_epochs=0"]
+    with pytest.raises(ConfigError, match="frame_epochs must be >= 1"):
+        load_config(None, bad)
+    with pytest.raises(ConfigError, match="patience must be >= 1"):
+        load_config(None, bad[:2])
 
 
 def test_parse_config_text_comments_and_blanks():
@@ -83,7 +148,7 @@ def test_malformed_override_rejected():
 )
 def test_out_of_range_values_rejected(field, value):
     with pytest.raises(ConfigError):
-        RunConfig(**{field: value})
+        load_config(None, [f"{field}={value}"])
 
 
 def test_layer_stack_repeats_hidden_type():

@@ -7,6 +7,7 @@ from per_gate_oracle import network_probs as oracle_probs
 
 from sleepstager import network
 from sleepstager.network import (
+    DIRECTIONS,
     MAX_LAYERS,
     NetSpec,
     Network,
@@ -426,6 +427,18 @@ class TestSpecAndParams:
         spec = NetSpec(input_dim=6, num_classes=5, layers=(("blstm", 8), ("lstm", 3)))
         assert spec.layer_io_dims() == [(6, 16), (16, 3)]
         assert spec.last_output_dim == 3
+
+    @pytest.mark.parametrize("kind", ["mlp", "lstm", "blstm"])
+    def test_a_kinds_directions_set_its_width_parameters_and_operands(self, kind):
+        K = DIRECTIONS[kind]
+        assert K == {"mlp": 0, "lstm": 1, "blstm": 2}[kind]
+        spec = NetSpec(input_dim=6, num_classes=5, layers=((kind, 4),))
+        assert spec.layer_io_dims() == [(6, 4 * max(K, 1))]
+        names = [name for name, _ in spec.param_shapes() if name.startswith("layer0.")]
+        groups = {0: {"mlp"}, 1: {"fwd"}, 2: {"fwd", "bwd"}}[K]
+        assert {name.split(".")[1] for name in names} == groups
+        if K:
+            assert Network.zeros(spec).layers[0].operands()[0].shape == (K, 16, 6)
 
     def test_bias_name_predicate(self):
         assert is_bias("layer0.fwd.b_i")

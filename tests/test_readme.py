@@ -1,4 +1,5 @@
-"""README's library examples and the package root name the same surface, and
+"""README's library examples and the package root name the same surface, its
+configuration table lists every config key with its class and default, and
 the number forms its data layout lists load or are refused as it says."""
 
 import ast
@@ -9,6 +10,7 @@ import numpy as np
 
 import sleepstager
 from sleepstager import cli
+from sleepstager.config import KEYS
 from sleepstager.ingest import load_heart_rate_csv
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -67,3 +69,26 @@ def test_readme_number_forms(tmp_path, capsys):
             assert cli.main(["validate", night]) == 2, form
             err = capsys.readouterr().err
             assert err.startswith(f"data error: {hr}: ") and "at line 2, column 2" in err, err
+
+
+def readme_config_rows() -> list[tuple[str, str, str]]:
+    """(key, class, default) of each key in README's configuration table; a
+    row that names several keys, ``a`` / ``b``, gives each its own default."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    table = re.search(r"^\| key \| class \| default \| meaning \|\n(.*?)\n\n", text, flags=re.M | re.S)
+    rows = []
+    for line in table.group(1).splitlines()[1:]:
+        keys, owner, defaults = (cell.strip().strip("`") for cell in line.strip("|").split("|")[:3])
+        for key, default in zip(keys.split(" / "), defaults.split(" / "), strict=True):
+            rows.append((key.strip("`"), owner, default.strip("`")))
+    return rows
+
+
+def test_readme_config_table_lists_every_key_with_its_class_and_default():
+    rows = readme_config_rows()
+    assert sorted(key for key, _, _ in rows) == sorted(KEYS)
+    for key, owner, default in rows:
+        cls, kind = KEYS[key]
+        assert owner == cls.__name__, key
+        assert kind(default) == getattr(cls(), key), key
