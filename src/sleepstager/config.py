@@ -55,6 +55,7 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        self.sweep_grid()
 
     def net_layers(self) -> tuple[tuple[str, int], ...]:
         return layer_stack(self.hidden_type, self.units, self.layers)

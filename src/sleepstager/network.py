@@ -322,9 +322,9 @@ def _check_group(nets, inputs) -> None:
 # Cached activations of one stack level of a group for exact backpropagation:
 # each network's (T, B, D) input batch and outputs, and the level's scan arrays.
 LayerTrace = namedtuple("LayerTrace", ("inputs", "outputs", "cache"), defaults=(None,))
-# Everything the backward pass needs, per network, plus a copy of each one's
-# parameters so a trace can detect that a network changed underneath it.
-ForwardTrace = namedtuple("ForwardTrace", ("layers", "probs", "rev", "params"))
+# Everything the backward pass needs, per network, with the networks whose
+# parameters the forward pass read.
+ForwardTrace = namedtuple("ForwardTrace", ("layers", "probs", "rev", "nets"))
 
 
 def _layer_forward(layers: list[Layer], inputs, revs: list[np.ndarray], trace: bool) -> LayerTrace:
@@ -403,16 +403,16 @@ def _forward(nets, batches: list[list[np.ndarray]], traces: list | None = None):
 
 def network_forward(nets, features, owned: bool = False):
     """Class probabilities of each network over its own whole sequence, as
-    alone, from one group scan, plus the backward-pass trace. The trace keeps
-    a copy of each network's parameters; ``owned`` says they were made for
-    this call and nothing changes them, so it keeps them as is."""
+    alone, from one group scan, plus the backward-pass trace. The trace holds
+    a clone of each network; ``owned`` says the networks were made for this
+    call and nothing changes them, so it holds them as is."""
     _check_group(nets, features)
     traces: list[LayerTrace] = []
     Xs = [[_checked(X, n.spec.input_dim)] for n, X in zip(nets, features)]
     probs, revs = _forward(nets, Xs, traces)
     probs = tuple(P[:, 0] for P in probs)
-    params = [n.flat if owned else n.flat.copy() for n in nets]
-    return probs, ForwardTrace(layers=traces, probs=probs, rev=revs, params=params)
+    nets = tuple(n if owned else n.clone() for n in nets)
+    return probs, ForwardTrace(layers=traces, probs=probs, rev=revs, nets=nets)
 
 
 # Most padded steps (longest x count) in one lockstep batch: scoring holds
@@ -518,18 +518,13 @@ def _layer_backward(layers: list[Layer], trace: LayerTrace, dOuts, revs, blocks,
     return dPs
 
 
-def network_backward(nets, trace: ForwardTrace, labels):
+def network_backward(trace: ForwardTrace, labels):
     """Each network's exact loss gradients from a group's trace and its one-hot
     ``labels``: views, keyed like ``net.params``, into one vector (``.flat``)
-    laid out like the network's. Rejects a trace whose parameter copy no
-    longer equals its network: gradients against mutated parameters would be
-    silently wrong. The comparison is of bit patterns, so a NaN parameter
-    equals its copy."""
+    laid out like the network's. Every operand comes from the trace, which
+    holds the networks its forward pass read."""
+    nets = trace.nets
     _check_group(nets, labels)
-    if len(nets) != len(trace.params) or not all(
-        np.array_equal(n.flat.view(np.int64), p.view(np.int64)) for n, p in zip(nets, trace.params)
-    ):
-        raise ValueError("stale trace: network parameters changed since forward pass")
     blocks, dHs = [], []
     for n, P, Y, top in zip(nets, trace.probs, labels, trace.layers[-1].outputs):
         dP = _loss_backward(P, _check_one_hot(Y, P.shape))

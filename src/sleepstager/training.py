@@ -109,8 +109,8 @@ def lockstep_size(layers, fold_bytes: int) -> int:
 def _sgd_pass(nets, splits, cfgs, rngs):
     """One pass of each network: visit its sequences in a fresh shuffled order,
     update per sequence. Step s of every network with an s-th sequence is one
-    group forward and backward at a copy of each one's parameters, perturbed
-    by weight noise; the trace keeps that copy, which nothing else holds."""
+    group forward and backward at a copy of each network perturbed by weight
+    noise, made for that step, so its trace holds the copies as they are."""
     orders = [rng.permutation(len(split)) for rng, split in zip(rngs, splits)]
     masks = [n.weight_mask() if c.weight_noise_std > 0 else None for n, c in zip(nets, cfgs)]
     for s in range(max(map(len, orders))):
@@ -123,7 +123,7 @@ def _sgd_pass(nets, splits, cfgs, rngs):
             group.append(Network(nets[m].spec, flat))
         seqs = [splits[m][orders[m][s]] for m in step]
         _, trace = network_forward(group, [X for X, _ in seqs], owned=True)
-        grads = network_backward(group, trace, [Y for _, Y in seqs])
+        grads = network_backward(trace, [Y for _, Y in seqs])
         for m, g in zip(step, grads):
             nets[m].flat -= cfgs[m].learning_rate * g.flat
         group = trace = grads = None  # not held through the next step's forward pass
@@ -195,7 +195,7 @@ def finite_difference_gradients(net: Network, X: np.ndarray, Y: np.ndarray) -> P
     def eval_at(j, value) -> float:
         orig = net.flat[j]
         net.flat[j] = value
-        l = loss(network_forward((net,), (X,))[0][0], Y)
+        l = loss(network_probs((net,), ((X,),))[0][0], Y)
         net.flat[j] = orig
         return l
 
@@ -226,6 +226,6 @@ def gradient_check(spec: NetSpec, T: int, seed: int) -> float:
     X = rng.standard_normal((T, spec.input_dim))
     Y = np.eye(spec.num_classes)[rng.integers(0, spec.num_classes, size=T)]
     _, trace = network_forward((net,), (X,))
-    ga = network_backward((net,), trace, (Y,))[0].flat
+    ga = network_backward(trace, (Y,))[0].flat
     gn = finite_difference_gradients(net, X, Y).flat
     return float((np.abs(ga - gn) / np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)).max())

@@ -270,6 +270,7 @@ def test_config_errors_exit_1(cohort_dir, tmp_path, capsys):
 )
 def test_non_finite_training_values_are_config_errors(cohort_dir, tmp_path, capsys, setting):
     # nan noise used to train silently without noise; the others ended as a "stale trace"
+    # error, from a parameter check that network_backward no longer has
     argv = ["train", cohort_dir, str(tmp_path / "m.bin")] + FAST + ["--set", setting]
     assert cli.main(argv) == 1
     key = setting.split("=")[0]
@@ -291,6 +292,26 @@ def test_num_words_beyond_training_epochs_is_a_config_error(cohort_dir, tmp_path
     expect = f"config error: num_words=100000 exceeds the training split's {epochs} epochs"
     assert capsys.readouterr().err.strip() == expect
     assert not os.path.exists(out)
+
+
+BAD_SWEEP_LISTS = {
+    "sweep_types=gru": "sweep cell gru x1 @32: hidden_type must be one of "
+                       "('mlp', 'lstm', 'blstm'), got 'gru'",
+    "sweep_layers=a": "sweep lists must be comma-separated integers: "
+                      "invalid literal for int() with base 10: 'a'",
+}
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "sweep"])
+@pytest.mark.parametrize("setting", sorted(BAD_SWEEP_LISTS))
+def test_bad_sweep_lists_are_refused_before_any_data_is_read(tmp_path, capsys, command, setting):
+    # was "data error: ... No such file or directory" from sweep, and accepted by train and cv
+    out = str(tmp_path / "out")
+    outputs = {"train": [out], "cv": ["--out-csv", out, "--out-json", out], "sweep": ["--out", out]}
+    argv = [command, str(tmp_path / "missing"), *outputs[command], "--set", setting]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.strip() == f"config error: {BAD_SWEEP_LISTS[setting]}"
+    assert os.listdir(tmp_path) == []
 
 
 def test_running_out_of_memory_is_one_config_error_line(cohort_dir, tmp_path, monkeypatch, capsys):
@@ -549,7 +570,8 @@ def test_one_epoch_training_split_is_a_data_error(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("setting", ["init_std=1e308", "weight_noise_std=1e308"])
 def test_diverged_training_exits_3(cohort_dir, tmp_path, capsys, setting):
-    # both used to end as "usage error: stale trace", because NaN != NaN
+    # both used to end as "usage error: stale trace", because NaN != NaN in a
+    # parameter check that network_backward no longer has
     model = tmp_path / "m.bin"
     assert cli.main(["train", cohort_dir, str(model)] + FAST + ["--set", setting]) == 3
     err = capsys.readouterr().err

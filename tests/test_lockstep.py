@@ -55,11 +55,11 @@ def test_group_forward_and_backward_equal_each_network_alone(layers, Ts, seed):
     nets = tuple(init_params(spec, seed=seed + m, init_std=0.5) for m in range(len(Ts)))
     seqs = [night(rng, T) for T in Ts]
     probs, trace = network_forward(nets, tuple(X for X, _ in seqs))
-    grads = network_backward(nets, trace, tuple(Y for _, Y in seqs))
+    grads = network_backward(trace, tuple(Y for _, Y in seqs))
     for net, (X, Y), P, g in zip(nets, seqs, probs, grads):
         (alone,), alone_trace = network_forward((net,), (X,))
         assert same_bits(P, alone)
-        assert same_bits(g.flat, network_backward((net,), alone_trace, (Y,))[0].flat)
+        assert same_bits(g.flat, network_backward(alone_trace, (Y,))[0].flat)
 
 
 @slow(30)
@@ -157,39 +157,71 @@ def test_inputs_are_left_untouched_and_a_diverged_network_is_named():
     assert all(same_bits(n.flat, b) for n, b in zip(nets, before))
 
 
-def test_stale_guard_is_per_network():
+# Each mutation changes an operand the backward pass reads (a recurrent or
+# output weight), so a backward pass that read the caller's networks would
+# give different gradients.
+def add_one(nets):
+    nets[0].params["layer0.fwd.W_hi"][0, 0] += 1.0
+
+
+def flip_sign(nets):
+    nets[0].params["layer0.fwd.W_hf"][1, 0] *= -1.0
+
+
+def swap_rows(nets):
+    W = nets[0].params["out.W"]
+    W[[0, 1]] = W[[1, 0]]
+
+
+def change_read_only(nets):
+    # a read-only vector can be made writeable again and changed
+    nets[0].flat.flags.writeable = True
+    W = nets[0].params["out.W"]
+    W.flags.writeable = True
+    W[0, 0] += 1.0
+
+
+def change_one_member(nets):
+    nets[2].params["layer0.bwd.W_hf"][0, 1] *= -1.0
+
+
+@pytest.mark.parametrize(
+    "mutate", [add_one, flip_sign, swap_rows, change_read_only, change_one_member]
+)
+def test_networks_changed_after_the_forward_pass_leave_its_gradients_alone(mutate):
     spec = NetSpec(input_dim=D, num_classes=M, layers=(("blstm", 2),))
     rng = np.random.default_rng(5)
-    nets = tuple(init_params(spec, seed=m) for m in range(3))
-    seqs = [night(rng, 4) for _ in nets]
-    _, trace = network_forward(nets, tuple(X for X, _ in seqs))
-    nets[2].params["layer0.bwd.W_hf"][0, 1] *= -1.0
-    with pytest.raises(ValueError, match="stale"):
-        network_backward(nets, trace, tuple(Y for _, Y in seqs))
-    with pytest.raises(ValueError, match="stale"):
-        network_backward(nets[:2], trace, tuple(Y for _, Y in seqs[:2]))
+    seqs = [night(rng, 4) for _ in range(3)]
+    X, Y = tuple(X for X, _ in seqs), tuple(Y for _, Y in seqs)
+
+    def group():
+        return tuple(init_params(spec, seed=m) for m in range(3))
+
+    expected = network_backward(network_forward(group(), X)[1], Y)
+    nets = group()
+    if mutate is change_read_only:
+        nets[0].flat.flags.writeable = False
+    _, trace = network_forward(nets, X)
+    mutate(nets)
+    assert not all(same_bits(n.flat, c.flat) for n, c in zip(nets, group()))
+    grads = network_backward(trace, Y)
+    assert all(same_bits(g.flat, e.flat) for g, e in zip(grads, expected))
 
 
-def test_trace_copies_parameters_unless_the_caller_owns_them():
+def test_a_trace_holds_clones_unless_the_caller_owns_the_networks():
     spec = NetSpec(input_dim=D, num_classes=M, layers=(("lstm", 2),))
-    X, Y = night(np.random.default_rng(6), 5)
-    # a read-only vector can be made writeable again and changed
-    frozen = init_params(spec, seed=6).flat.copy()
-    frozen.flags.writeable = False
-    net = network.Network(spec, frozen)
-    _, trace = network_forward((net,), (X,))
-    assert trace.params[0] is not frozen
-    frozen.flags.writeable = True
-    frozen[0] += 1.0
-    with pytest.raises(ValueError, match="stale"):
-        network_backward((net,), trace, (Y,))
-    owned = init_params(spec, seed=6)
-    _, owned_trace = network_forward((owned,), (X,), owned=True)
-    assert owned_trace.params[0] is owned.flat
-    alone = init_params(spec, seed=6)
-    _, alone_trace = network_forward((alone,), (X,))
-    expected = network_backward((alone,), alone_trace, (Y,))[0].flat
-    assert same_bits(network_backward((owned,), owned_trace, (Y,))[0].flat, expected)
+    rng = np.random.default_rng(6)
+    seqs = [night(rng, T) for T in (5, 3)]
+    X, Y = tuple(X for X, _ in seqs), tuple(Y for _, Y in seqs)
+    nets = tuple(init_params(spec, seed=6 + m) for m in range(2))
+    _, owned = network_forward(nets, X, owned=True)
+    assert all(t is n for t, n in zip(owned.nets, nets))
+    _, cloned = network_forward(nets, X)
+    for t, n in zip(cloned.nets, nets):
+        assert t is not n and same_bits(t.flat, n.flat)
+        assert not np.shares_memory(t.flat, n.flat)
+    for g, e in zip(network_backward(owned, Y), network_backward(cloned, Y)):
+        assert same_bits(g.flat, e.flat)
 
 
 def test_a_group_needs_one_input_per_network_and_one_stack():
@@ -204,7 +236,7 @@ def test_a_group_needs_one_input_per_network_and_one_stack():
     _, trace = network_forward((a, a), (X, X))
     for labels in [(Y,), (Y, Y, Y)]:
         with pytest.raises(ValueError, match="a group needs"):
-            network_backward((a, a), trace, labels)
+            network_backward(trace, labels)
     split, cfg = [(X, Y)], TrainConfig()
     cases = [((a, a), (split,), (cfg, cfg)), ((a,), (split,), (cfg, cfg)), ((), (), ())]
     for nets, splits, cfgs in cases:

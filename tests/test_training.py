@@ -226,7 +226,7 @@ class TestTrain:
             for s in stream.permutation(3):
                 X, Y = seqs[s]
                 _, trace = network_forward((manual,), (X,))
-                grads = network_backward((manual,), trace, (Y,))[0]
+                grads = network_backward(trace, (Y,))[0]
                 for name, arr in manual.params.items():
                     arr -= 0.05 * grads[name]
             tl = mean_loss((manual,), (seqs[:3],))[0]
