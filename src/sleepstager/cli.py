@@ -5,7 +5,6 @@ Every file the package reads or writes goes through a subcommand here:
     validate    check a cohort directory and summarize it
     synth       generate a synthetic cohort as CSV files
     extract     write per-recording low-level feature matrices (.npy)
-    fit-dict    fit the k-means codebook and save it
     train       fit a full model on a cohort and save it
     eval        score a labeled cohort with a saved model
     cv          subject-independent cross-validation with report files
@@ -40,11 +39,9 @@ from .evaluate import (
     write_cv_summary,
 )
 from .features_low import recording_low_features
-from .features_mid import kmeans_fit
 from .ingest import _fmt, load_cohort, save_recording, stages_to_indices, write_csv
-from .modelio import load_model, save_dictionary, save_model
+from .modelio import load_model, save_model
 from .network import DIRECTIONS, NetSpec, layer_stack, network_forward, predict_stages
-from .pipeline import check_num_words
 from .synth import SynthConfig, generate_cohort
 from .training import gradient_check
 
@@ -108,20 +105,6 @@ def cmd_extract(args) -> int:
         path = os.path.join(args.out, f"{rec.subject_id}_low.npy")
         np.save(path, lows)
         print(f"{path}: {lows.shape[0]} epochs x {lows.shape[1]} features")
-    return 0
-
-
-def cmd_fit_dict(args) -> int:
-    cfg = _cfg(args)
-    recs = load_cohort(args.data)
-    stacked = np.concatenate([recording_low_features(r, cfg.frame) for r in recs], axis=0)
-    check_num_words(cfg.num_words, len(stacked))
-    d = kmeans_fit(stacked, cfg.num_words, seed=cfg.seed)
-    save_dictionary(d, args.out)
-    print(
-        f"{d.num_words} words from {stacked.shape[0]} frames, "
-        f"{d.iterations} iterations, objective {_fmt(d.objective)}"
-    )
     return 0
 
 
@@ -306,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="cohort directory")
     p.add_argument("out", help="output directory for <id>_low.npy files")
     p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("fit-dict", parents=[common], help="fit and save the codebook")
-    p.add_argument("data", help="cohort directory")
-    p.add_argument("out", help="output dictionary file")
-    p.set_defaults(func=cmd_fit_dict)
 
     p = sub.add_parser("train", parents=[common], help="train and save a model")
     p.add_argument("data", help="cohort directory")

@@ -71,6 +71,14 @@ def frame_indices(t, total: int, frame_epochs: int) -> np.ndarray:
     return start[..., None] + np.arange(frame_epochs)
 
 
+def _zeros(shape) -> np.ndarray:
+    """``np.zeros``; a shape too big for numpy to address runs out of memory."""
+    try:
+        return np.zeros(shape)
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from exc
+
+
 def dct_block(rr_epochs: list[np.ndarray], n: int) -> np.ndarray:
     """Leading DCT coefficients of each epoch's RR sequence plus differences.
 
@@ -81,7 +89,7 @@ def dct_block(rr_epochs: list[np.ndarray], n: int) -> np.ndarray:
     row of n + (n-1) + (n-2) values per epoch. Epochs with the same number
     of intervals are transformed together.
     """
-    d = np.zeros((len(rr_epochs), n))
+    d = _zeros((len(rr_epochs), n))
     lengths = np.array([rr.size for rr in rr_epochs], dtype=np.int64)
     for m in np.unique(lengths):
         group = np.flatnonzero(lengths == m)
@@ -106,7 +114,7 @@ def cepstrum_block(act_epochs: list[np.ndarray], cepstrum_components: int) -> np
         raise ValueError(
             f"actigraphy epoch {short[0]} needs at least {MIN_EPOCH_ACTIGRAPHY} samples"
         )
-    out = np.zeros((len(act_epochs), 3, c))
+    out = _zeros((len(act_epochs), 3, c))
     for m in np.unique(lengths):
         group = np.flatnonzero(lengths == m)
         take = min(c, m - 1)

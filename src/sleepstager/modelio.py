@@ -1,4 +1,4 @@
-"""Binary serialization of fitted models and dictionaries.
+"""Binary serialization of fitted models.
 
 A model is unusable without the codebook and normalization it was trained
 with, so all three travel in one file:
@@ -12,7 +12,6 @@ with, so all three travel in one file:
               dictionary centers, normalization mean, normalization std,
               then network parameters in canonical order
 
-Standalone dictionaries use the same layout under magic ``SLPDICT1``.
 Writing is deterministic: identical inputs produce identical bytes.
 """
 
@@ -31,25 +30,24 @@ from .network import NetSpec, Network
 from .pipeline import FittedModel, FittedPipeline
 
 MODEL_MAGIC = b"SLPNET01"
-DICT_MAGIC = b"SLPDICT1"
 FORMAT_VERSION = 1
 
 
-def _pack(header: dict, arrays: list[np.ndarray], magic: bytes) -> bytes:
+def _pack(header: dict, arrays: list[np.ndarray]) -> bytes:
     for a in arrays:
         if not np.all(np.isfinite(a)):
             raise DataValidationError("refusing to serialize non-finite arrays")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-    return magic + struct.pack("<Q", len(blob)) + blob + body
+    return MODEL_MAGIC + struct.pack("<Q", len(blob)) + blob + body
 
 
-def _unpack(path: str, magic: bytes) -> tuple[dict, np.ndarray]:
-    """The header and float64 body of the ``magic`` file at ``path``."""
+def _unpack(path: str) -> tuple[dict, np.ndarray]:
+    """The header and float64 body of the model file at ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 16 or data[:8] != magic:
-        raise DataValidationError(f"{path}: not a {magic.decode()} file")
+    if len(data) < 16 or data[:8] != MODEL_MAGIC:
+        raise DataValidationError(f"{path}: not a {MODEL_MAGIC.decode()} file")
     (hlen,) = struct.unpack("<Q", data[8:16])
     if len(data) < 16 + hlen:
         raise DataValidationError(f"{path}: truncated header")
@@ -89,36 +87,15 @@ def _arrays(body: np.ndarray, meta, path: str) -> dict[str, np.ndarray]:
     return loaded
 
 
-def _codebook_fields(d: Dictionary, fit_prefix: str) -> dict:
-    """A codebook's header fields. Model files put ``dict_`` before the fit's
-    iterations, objective and objective history; dictionary files put nothing."""
-    return {
-        "num_words": d.num_words,
-        "low_dim": d.centers.shape[1],
-        f"{fit_prefix}iterations": d.iterations,
-        f"{fit_prefix}objective": d.objective,
-        f"{fit_prefix}objective_history": list(d.objective_history),
-    }
-
-
-def _read_codebook_fields(header: dict, fit_prefix: str) -> tuple:
-    """The fields ``_codebook_fields`` wrote, in ``_dictionary``'s argument
-    order: num_words, low_dim, iterations, objective, history."""
-    keys = ("num_words", "low_dim", f"{fit_prefix}iterations", f"{fit_prefix}objective")
-    return (*(header[key] for key in keys), tuple(header[f"{fit_prefix}objective_history"]))
-
-
 def save_model(model: FittedModel, path: str) -> None:
     d = model.pipeline.dictionary
     stats = model.pipeline.stats
-    arrays = [d.centers, stats.mean, stats.std]
+    arrays = [d.centers, stats.mean, stats.std, model.net.flat]
     array_meta = [
         ["dictionary.centers", list(d.centers.shape)],
         ["norm.mean", list(stats.mean.shape)],
         ["norm.std", list(stats.std.shape)],
-    ]
-    arrays.append(model.net.flat)
-    array_meta += [[f"net.{name}", list(arr.shape)] for name, arr in model.net.params.items()]
+    ] + [[f"net.{name}", list(arr.shape)] for name, arr in model.net.params.items()]
     header = {
         "version": FORMAT_VERSION,
         "num_classes": model.num_classes,
@@ -126,28 +103,18 @@ def save_model(model: FittedModel, path: str) -> None:
         "final_dim": model.pipeline.final_dim,
         "layers": [[kind, hidden] for kind, hidden in model.net.spec.layers],
         "arrays": array_meta,
-        **_codebook_fields(d, "dict_"),
+        "num_words": d.num_words,
+        "low_dim": d.centers.shape[1],
+        "dict_iterations": d.iterations,
+        "dict_objective": d.objective,
+        "dict_objective_history": list(d.objective_history),
     }
     with open(path, "wb") as fh:
-        fh.write(_pack(header, arrays, MODEL_MAGIC))
-
-
-def _dictionary(centers, num_words, low_dim, iterations, objective, history, path) -> Dictionary:
-    """The codebook a header describes: its sizes must be the centres' shape,
-    ``iterations`` a positive integer and ``objective`` finite and >= 0."""
-    if not (type(num_words) is type(low_dim) is int and centers.shape == (num_words, low_dim)):
-        fault = f"inconsistent dims: centers {centers.shape}, num_words {num_words}, low_dim {low_dim}"
-    elif type(iterations) is not int or iterations < 1:
-        fault = f"iterations must be a positive integer, got {iterations!r}"
-    elif type(objective) not in (int, float) or not 0 <= objective < math.inf:
-        fault = f"objective must be finite and >= 0, got {objective!r}"
-    else:
-        return Dictionary(centers, iterations, objective, history)
-    raise DataValidationError(f"{path}: {fault}")
+        fh.write(_pack(header, arrays))
 
 
 def load_model(path: str) -> FittedModel:
-    header, body = _unpack(path, MODEL_MAGIC)
+    header, body = _unpack(path)
     try:
         frame = FrameConfig(**header["frame"])
         spec = NetSpec(
@@ -156,8 +123,9 @@ def load_model(path: str) -> FittedModel:
             layers=tuple((k, h) for k, h in header["layers"]),
         )
         array_meta, final_dim = header["arrays"], header["final_dim"]
-        codebook = _read_codebook_fields(header, "dict_")
-        num_words, low_dim = codebook[:2]
+        num_words, low_dim = header["num_words"], header["low_dim"]
+        iterations, objective = header["dict_iterations"], header["dict_objective"]
+        history = tuple(header["dict_objective_history"])
         sizes = [*vars(frame).values(), spec.num_classes, low_dim, num_words, final_dim]
         if not all(type(n) is int for n in sizes + [h for _, h in spec.layers]):
             raise TypeError("sizes must be integers")
@@ -174,8 +142,8 @@ def load_model(path: str) -> FittedModel:
             raise DataValidationError(f"{path}: missing array {key}")
     centers, mean, std = (loaded[key] for key in required)
     if not (
-        low_dim == frame.dim and final_dim == low_dim + num_words
-        and mean.shape == std.shape == (final_dim,)
+        centers.shape == (num_words, low_dim) and low_dim == frame.dim
+        and final_dim == low_dim + num_words and mean.shape == std.shape == (final_dim,)
     ):
         raise DataValidationError(
             f"{path}: inconsistent dims: centers {centers.shape}, num_words {num_words}, "
@@ -185,6 +153,12 @@ def load_model(path: str) -> FittedModel:
     for key, shape in layout:
         if loaded[key].shape != shape:
             raise DataValidationError(f"{path}: shape mismatch for {key}")
+    if type(iterations) is not int or iterations < 1:
+        raise DataValidationError(
+            f"{path}: iterations must be a positive integer, got {iterations!r}"
+        )
+    if type(objective) not in (int, float) or not 0 <= objective < math.inf:
+        raise DataValidationError(f"{path}: objective must be finite and >= 0, got {objective!r}")
     net = Network.zeros(spec)
     for name, arr in net.params.items():
         arr[:] = loaded[f"net.{name}"]
@@ -192,29 +166,9 @@ def load_model(path: str) -> FittedModel:
         frame=frame,
         num_classes=header["num_classes"],
         pipeline=FittedPipeline(
-            dictionary=_dictionary(centers, *codebook, path),
+            dictionary=Dictionary(centers, iterations, objective, history),
             stats=NormStats(mean=mean, std=std),
         ),
         net=net,
     )
 
-
-def save_dictionary(d: Dictionary, path: str) -> None:
-    header = {
-        "version": FORMAT_VERSION,
-        "arrays": [["centers", list(d.centers.shape)]],
-        **_codebook_fields(d, ""),
-    }
-    with open(path, "wb") as fh:
-        fh.write(_pack(header, [d.centers], DICT_MAGIC))
-
-
-def load_dictionary(path: str) -> Dictionary:
-    header, body = _unpack(path, DICT_MAGIC)
-    try:
-        (array,) = header["arrays"]
-        codebook = _read_codebook_fields(header, "")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataValidationError(f"{path}: invalid header: {exc}") from exc
-    (centers,) = _arrays(body, [array], path).values()
-    return _dictionary(centers, *codebook, path)

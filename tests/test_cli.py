@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from sleepstager.config import KEYS
 from sleepstager.evaluate import fit_model
 from sleepstager.features_low import FrameConfig, recording_low_features
 from sleepstager.ingest import load_cohort, stages_to_indices
-from sleepstager.modelio import load_dictionary, load_model, save_model
+from sleepstager.modelio import load_model, save_model
 from sleepstager.training import TrainConfig
 from test_ingest import CSV_CASES, write_case
 
@@ -81,14 +82,6 @@ def test_extract_matches_library_and_is_idempotent(cohort_dir, tmp_path):
     for rec in recs:
         stored = np.load(os.path.join(out1, f"{rec.subject_id}_low.npy"))
         np.testing.assert_array_equal(stored, recording_low_features(rec, frame))
-
-
-def test_fit_dict_round_trip(cohort_dir, tmp_path):
-    path = str(tmp_path / "dict.bin")
-    assert cli.main(["fit-dict", cohort_dir, path] + FAST) == 0
-    d = load_dictionary(path)
-    assert d.num_words == 8
-    assert d.centers.shape[1] == FrameConfig(frame_epochs=4).dim
 
 
 def test_train_eval_cycle(cohort_dir, tmp_path, capsys):
@@ -255,12 +248,12 @@ def test_usage_errors_exit_1(capsys):
 def test_config_errors_exit_1(cohort_dir, tmp_path, capsys):
     assert cli.main(["validate", cohort_dir, "--set", "no_such_key=1"]) == 0
     # validate ignores config, so force a command that reads it
-    assert cli.main(["fit-dict", cohort_dir, str(tmp_path / "d.bin"),
+    assert cli.main(["extract", cohort_dir, str(tmp_path / "low"),
                      "--set", "no_such_key=1"]) == 1
     assert "no_such_key" in capsys.readouterr().err
     bad = tmp_path / "bad.cfg"
     bad.write_text("this line has no equals\n")
-    assert cli.main(["fit-dict", cohort_dir, str(tmp_path / "d.bin"),
+    assert cli.main(["extract", cohort_dir, str(tmp_path / "low"),
                      "--config", str(bad)]) == 1
 
 
@@ -278,17 +271,16 @@ def test_non_finite_training_values_are_config_errors(cohort_dir, tmp_path, caps
     assert not (tmp_path / "m.bin").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "fit-dict", "cv", "sweep"])
+@pytest.mark.parametrize("command", ["train", "cv", "sweep"])
 def test_num_words_beyond_training_epochs_is_a_config_error(cohort_dir, tmp_path, capsys, command):
-    # was "usage error: need at least k=100000 samples, got 120" from the k-means fit
+    # was "usage error: need at least k=100000 samples, got 96" from the k-means fit
     out = str(tmp_path / "out")
-    outputs = {"train": [out], "fit-dict": [out], "cv": ["--out-csv", out, "--out-json", out],
-               "sweep": ["--out", out]}
+    outputs = {"train": [out], "cv": ["--out-csv", out, "--out-json", out], "sweep": ["--out", out]}
     argv = [command, cohort_dir, *outputs[command], *FAST, "--set", "folds=3",
             "--set", "num_words=100000"]
     assert cli.main(argv) == 1
     # 5 nights of 24 epochs: train holds one out; the first cv fold trains on one night
-    epochs = {"train": 96, "fit-dict": 120, "cv": 24, "sweep": 24}[command]
+    epochs = {"train": 96, "cv": 24, "sweep": 24}[command]
     expect = f"config error: num_words=100000 exceeds the training split's {epochs} epochs"
     assert capsys.readouterr().err.strip() == expect
     assert not os.path.exists(out)
@@ -446,6 +438,16 @@ def test_model_header_faults_exit_2(cohort_dir, tmp_path, capsys):
         assert "data error" in capsys.readouterr().err
 
 
+def test_a_codebook_file_is_not_a_model(cohort_dir, tmp_path):
+    # earlier versions wrote the codebook alone, under this magic
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_model.slpnet")
+    path = tmp_path / "codebook.slpdict"
+    path.write_bytes(b"SLPDICT1" + read_bytes(golden)[8:])
+    proc = run_cli(["eval", str(path), cohort_dir])
+    assert proc.returncode == 2
+    assert proc.stderr == f"data error: {path}: not a SLPNET01 file\n"
+
+
 def test_config_file_and_set_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 3\n")
@@ -492,7 +494,7 @@ def test_config_beyond_the_cohort_is_a_config_error(cohort_dir, tmp_path, capsys
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("command", ["cv", "train", "synth", "fit-dict", "gradcheck"])
+@pytest.mark.parametrize("command", ["cv", "train", "synth", "gradcheck"])
 def test_negative_seed_is_a_config_error(cohort_dir, tmp_path, capsys, command):
     # was numpy's "usage error: expected non-negative integer"
     out = str(tmp_path / "out")
@@ -500,7 +502,6 @@ def test_negative_seed_is_a_config_error(cohort_dir, tmp_path, capsys, command):
         "cv": ["cv", cohort_dir, "--out-csv", out, "--out-json", out, "--set", "folds=3"],
         "train": ["train", cohort_dir, out],
         "synth": ["synth", out, "--recordings", "1", "--epochs", "4"],
-        "fit-dict": ["fit-dict", cohort_dir, out],
         "gradcheck": ["gradcheck"],
     }[command]
     assert cli.main(argv + FAST + ["--set", "seed=-1"]) == 1
@@ -512,7 +513,7 @@ def test_negative_seed_is_a_config_error(cohort_dir, tmp_path, capsys, command):
 def test_overflowing_actigraphy_is_a_data_error(cohort_dir, tmp_path, capsys):
     # 1e308 then -1e308 is finite, so validate accepts it, but its first
     # difference overflows; extract used to write non-finite features and
-    # exit 0, fit-dict and train to fail as "usage error: samples must be finite"
+    # exit 0, and train to fail as "usage error: samples must be finite"
     def overflow(rows):
         for k, value in ((100, "1e308"), (101, "-1e308")):
             cells = rows[k].split(",")
@@ -531,7 +532,7 @@ def test_overflowing_actigraphy_is_a_data_error(cohort_dir, tmp_path, capsys):
     assert not model.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "fit-dict", "eval"])
+@pytest.mark.parametrize("command", ["train", "eval"])
 def test_implausibly_slow_heart_rate_is_a_data_error(cohort_dir, tmp_path, capsys, command):
     # a 1e-300 bpm sample, a 6e301 s beat interval, passed validate and gave
     # finite features whose squared codebook distances overflow: these
@@ -545,8 +546,7 @@ def test_implausibly_slow_heart_rate_is_a_data_error(cohort_dir, tmp_path, capsy
     assert cli.main(["train", cohort_dir, model] + FAST) == 0
     capsys.readouterr()
     out = str(tmp_path / "out")
-    argv = {"train": ["train", data, out] + FAST, "fit-dict": ["fit-dict", data, out] + FAST,
-            "eval": ["eval", model, data, "--out", out]}[command]
+    argv = {"train": ["train", data, out] + FAST, "eval": ["eval", model, data, "--out", out]}[command]
     assert cli.main(argv) == 2
     hr = os.path.join(data, "s02_hr.csv")
     expect = f"data error: {hr}: heart rate 1e-300 bpm at t=50 s: its beat interval"
@@ -580,13 +580,24 @@ def test_diverged_training_exits_3(cohort_dir, tmp_path, capsys, setting):
     assert os.listdir(tmp_path) == []
 
 
-def test_numeric_failure_is_one_line_on_stderr(cohort_dir, tmp_path):
-    # in a process of its own: pytest would capture the numpy warnings
+def run_cli(argv, address_space=None):
+    """``sleepstager argv`` in a process of its own, with one BLAS thread and,
+    if given, ``address_space`` bytes as that process's RLIMIT_AS."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    argv = ["train", cohort_dir, str(tmp_path / "m.bin")] + FAST + ["--set", "init_std=1e308"]
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     cmd = [sys.executable, "-m", "sleepstager.cli"] + argv
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300,
+                          preexec_fn=limit if address_space else None)
+
+
+def test_numeric_failure_is_one_line_on_stderr(cohort_dir, tmp_path):
+    # in a process of its own: pytest would capture the numpy warnings
+    argv = ["train", cohort_dir, str(tmp_path / "m.bin")] + FAST + ["--set", "init_std=1e308"]
+    proc = run_cli(argv)
     assert proc.returncode == 3
     assert proc.stderr.startswith("numeric failure: training diverged in pass 1: "), proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr
@@ -617,6 +628,28 @@ def test_a_fold_diverging_in_its_group_names_round_fold_and_pass(
     pass_1 = "training diverged in pass 1: val loss nan, 6325 non-finite parameter(s)"
     assert err == f"numeric failure: round 0, fold 2: {pass_1}\n"
     assert len(calls) == 4 and os.listdir(tmp_path) == []
+
+
+@settings(max_examples=7)
+@given(
+    command=st.sampled_from(["extract", "train", "cv"]),
+    key=st.sampled_from(["freq_components", "units", "num_words"]),
+    size=st.integers(10**6, 10**308),
+)
+# numpy refused the DCT block's shape with a ValueError, which escaped as a traceback
+@example(command="extract", key="freq_components", size=10**18)
+def test_huge_sizes_end_in_an_exit_code_under_a_memory_limit(
+    cohort_dir, tmp_path_factory, command, key, size
+):
+    # each run in a process of its own, limited to 1.5 GB of address space,
+    # which an allocation of any of these sizes exceeds
+    out = str(tmp_path_factory.mktemp("huge") / "out")
+    outputs = {"extract": [out], "train": [out], "cv": ["--out-csv", out, "--out-json", out]}
+    argv = [command, cohort_dir, *outputs[command], *FAST, "--set", "folds=3",
+            "--set", f"{key}={size}"]
+    proc = run_cli(argv, address_space=1_500_000_000)
+    assert proc.returncode in (0, 1, 2, 3), proc.stderr
+    assert proc.stderr.count("\n") <= 1 and "Traceback" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("units", ["10000000000000000000", "1000000000"])

@@ -14,14 +14,7 @@ from hypothesis.extra.numpy import arrays
 from sleepstager.features_low import FrameConfig
 from sleepstager.features_mid import kmeans_fit, zscore_fit
 from sleepstager.ingest import DataValidationError
-from sleepstager.modelio import (
-    DICT_MAGIC,
-    MODEL_MAGIC,
-    load_dictionary,
-    load_model,
-    save_dictionary,
-    save_model,
-)
+from sleepstager.modelio import MODEL_MAGIC, load_model, save_model
 from sleepstager.network import NetSpec, network_forward
 from sleepstager.pipeline import FittedModel, FittedPipeline
 from sleepstager.training import init_params
@@ -122,10 +115,12 @@ def test_bad_magic_rejected(tmp_path):
     save_model(tiny_model(), path)
     with open(path, "rb") as fh:
         raw = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(b"NOTMAGIC" + raw[8:])
-    with pytest.raises(DataValidationError):
-        load_model(path)
+    # SLPDICT1 began the standalone codebook files earlier versions wrote
+    for magic in (b"NOTMAGIC", b"SLPDICT1"):
+        with open(path, "wb") as fh:
+            fh.write(magic + raw[8:])
+        with pytest.raises(DataValidationError, match="not a SLPNET01 file"):
+            load_model(path)
 
 
 def test_truncated_body_rejected(tmp_path):
@@ -238,24 +233,6 @@ def test_unknown_model_version_rejected(tmp_path):
         load_model(path)
 
 
-def test_dictionary_without_arrays_rejected(tmp_path):
-    path = str(tmp_path / "d.slpdict")
-    rng = np.random.default_rng(np.random.Philox(12))
-    save_dictionary(kmeans_fit(rng.normal(size=(30, 4)), k=3, seed=0), path)
-    rewrite_header(path, lambda header: header.update(arrays=[]))
-    with pytest.raises(DataValidationError):
-        load_dictionary(path)
-
-
-def test_unknown_dictionary_version_rejected(tmp_path):
-    path = str(tmp_path / "d.slpdict")
-    rng = np.random.default_rng(np.random.Philox(12))
-    save_dictionary(kmeans_fit(rng.normal(size=(30, 4)), k=3, seed=0), path)
-    rewrite_header(path, lambda header: header.update(version=2))
-    with pytest.raises(DataValidationError, match="version 2"):
-        load_dictionary(path)
-
-
 def test_non_finite_refused_on_save(tmp_path):
     model = tiny_model()
     model.net.params["out.b"][0] = np.nan
@@ -277,53 +254,12 @@ def test_non_finite_refused_on_load(tmp_path):
         load_model(path)
 
 
-def test_non_finite_dictionary_refused_on_load(tmp_path):
-    path = str(tmp_path / "d.slpdict")
-    rng = np.random.default_rng(np.random.Philox(12))
-    save_dictionary(kmeans_fit(rng.normal(size=(30, 4)), k=3, seed=0), path)
-    with open(path, "rb") as fh:
-        raw = bytearray(fh.read())
-    raw[-8:] = np.array([np.nan]).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(raw))
-    with pytest.raises(DataValidationError, match="non-finite"):
-        load_dictionary(path)
-
-
-def test_dictionary_round_trip(tmp_path):
-    rng = np.random.default_rng(np.random.Philox(11))
-    d = kmeans_fit(rng.normal(size=(80, 9)), k=6, seed=2)
-    p1 = str(tmp_path / "a.slpdict")
-    p2 = str(tmp_path / "b.slpdict")
-    save_dictionary(d, p1)
-    back = load_dictionary(p1)
-    np.testing.assert_array_equal(back.centers, d.centers)
-    assert back.iterations == d.iterations
-    assert back.objective == d.objective
-    assert back.objective_history == d.objective_history
-    save_dictionary(back, p2)
-    with open(p1, "rb") as fh:
-        raw1 = fh.read()
-    with open(p2, "rb") as fh:
-        raw2 = fh.read()
-    assert raw1 == raw2
-    assert raw1[:8] == DICT_MAGIC
-
-
-def test_model_magic_does_not_open_as_dictionary(tmp_path):
-    path = str(tmp_path / "m.slpnet")
-    save_model(tiny_model(), path)
-    with pytest.raises(DataValidationError):
-        load_dictionary(path)
-
-
 DATA = os.path.join(os.path.dirname(__file__), "data")
-# Files written by an earlier version of the writer: a blstm@2 -> mlp@3
-# model over 4 classes with a 3-word codebook, and a 3-word dictionary.
-# Round trips within one version cannot see a renamed or reordered array.
+# A file written by an earlier version of the writer: a blstm@2 -> mlp@3
+# model over 4 classes with a 3-word codebook. Round trips within one
+# version cannot see a renamed or reordered array.
 GOLDEN = {
     "model": (os.path.join(DATA, "golden_model.slpnet"), load_model, save_model),
-    "dictionary": (os.path.join(DATA, "golden_dict.slpdict"), load_dictionary, save_dictionary),
 }
 
 
@@ -410,31 +346,29 @@ def test_non_integer_sizes_rejected(tmp_path, edit):
 
 
 @pytest.mark.parametrize(
-    "kind, edit, match",
+    "edit, match",
     [
-        ("dictionary", {"num_words": 7}, "inconsistent dims"),
-        ("dictionary", {"low_dim": 99}, "inconsistent dims"),
-        ("dictionary", {"num_words": 3.0}, "inconsistent dims"),
-        ("dictionary", {"iterations": -5}, "iterations must be a positive integer"),
-        ("dictionary", {"iterations": 0}, "iterations must be a positive integer"),
-        ("dictionary", {"iterations": 7.0}, "iterations must be a positive integer"),
-        ("dictionary", {"objective": -1.0}, "objective must be finite and >= 0"),
-        ("dictionary", {"objective": float("nan")}, "objective must be finite and >= 0"),
-        ("dictionary", {"objective": float("inf")}, "objective must be finite and >= 0"),
-        ("dictionary", {"objective": "1.0"}, "objective must be finite and >= 0"),
-        ("model", {"dict_iterations": 0}, "iterations must be a positive integer"),
-        ("model", {"dict_objective": -1.0}, "objective must be finite and >= 0"),
+        ({"num_words": 7}, "inconsistent dims"),
+        ({"low_dim": 99}, "inconsistent dims"),
+        ({"num_words": 3.0}, "invalid header: sizes must be integers"),
+        ({"dict_iterations": -5}, "iterations must be a positive integer"),
+        ({"dict_iterations": 0}, "iterations must be a positive integer"),
+        ({"dict_iterations": 7.0}, "iterations must be a positive integer"),
+        ({"dict_objective": -1.0}, "objective must be finite and >= 0"),
+        ({"dict_objective": float("nan")}, "objective must be finite and >= 0"),
+        ({"dict_objective": float("inf")}, "objective must be finite and >= 0"),
+        ({"dict_objective": "1.0"}, "objective must be finite and >= 0"),
     ],
 )
-def test_dictionary_metadata_must_fit_its_centres(tmp_path, kind, edit, match):
-    # these headers used to load: a 3 x 4 codebook claiming 7 words, a
+def test_dictionary_metadata_must_fit_its_centres(tmp_path, edit, match):
+    # these headers used to load: a 3-word codebook claiming 7 words, a
     # negative iteration count, a negative or non-finite objective
-    path = str(tmp_path / "f")
+    path = str(tmp_path / "m")
     with open(path, "wb") as fh:
-        fh.write(read_file(GOLDEN[kind][0]))
+        fh.write(read_file(GOLDEN["model"][0]))
     rewrite_header(path, lambda header: header.update(edit))
     with pytest.raises(DataValidationError, match=match):
-        GOLDEN[kind][1](path)
+        load_model(path)
 
 
 def test_header_claiming_a_huge_layer_is_a_data_error(tmp_path):

@@ -1,7 +1,9 @@
 """README's library examples and the package root name the same surface, its
+command table and the ``cli`` docstring list the parser's commands, its
 configuration table lists every config key with its class and default, and
 the number forms its data layout lists load or are refused as it says."""
 
+import argparse
 import ast
 import os
 import re
@@ -92,3 +94,12 @@ def test_readme_config_table_lists_every_key_with_its_class_and_default():
         cls, kind = KEYS[key]
         assert owner == cls.__name__, key
         assert kind(default) == getattr(cls(), key), key
+
+
+def test_readme_and_cli_docstring_list_the_parser_commands():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    with open(README, encoding="utf-8") as fh:
+        table = re.search(r"^## Commands\n\n(.*?)\n\n", fh.read(), flags=re.M | re.S).group(1)
+    readme = re.findall(r"^\| `([a-z-]+)", table, flags=re.M)
+    docstring = re.findall(r"^    ([a-z-]+)  ", cli.__doc__, flags=re.M)
+    assert readme == docstring == list(sub.choices)
