@@ -6,11 +6,20 @@ subjects into k folds; each iteration tests on one fold, validates on the
 next (cyclically), and trains on the rest, so no subject ever straddles
 splits. Rounds reshuffle the folds with a shifted seed and everything is
 averaged.
+
+Cross-validation's fits share nothing, so their training groups run on
+every CPU the process may use that its BLAS threads leave free: the calling
+process trains the first share of groups, a forked worker each other
+share, and the results are put back in (round, fold) order, so the reports
+do not depend on the process count.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,8 +169,12 @@ def cross_validate(
     stats, network) comes from the k - 2 training folds of each iteration.
     Per-iteration seeds are spawned from (seed, round, fold) so results
     never depend on execution order; fold shuffling uses seed + round.
-    The fits train in (round, fold) order in groups of ``lockstep_size``,
-    bounded by the bytes of the largest fold's sequences.
+    The fits train in (round, fold) order in groups of at most
+    ``lockstep_size`` fits, bounded by the bytes of the largest fold's
+    sequences, and at most ceil(fits / P), where P is ``_process_count()``
+    capped at the number of fits. ``_in_processes`` runs the groups on P
+    processes; the reports are the same on any P, and a fault is the one the
+    earliest group in (round, fold) order raises, as in one process.
     """
     if k < 3:
         raise ValueError(f"k={k}: need a test, a validation and a training fold (k >= 3)")
@@ -189,10 +202,10 @@ def cross_validate(
     # a fold's training and validation sequences: features and one-hot labels
     epoch_bytes = 8 * (frame.dim + num_words + num_classes)
     fold_epochs = max(sum(len(lows[by_id[s]]) for s in va + tr) for *_, va, tr, _ in plan)
-    results: list[FoldResult] = []
-    size = lockstep_size(net_layers, fold_epochs * epoch_bytes)
-    for start in range(0, len(plan), size):
-        group = plan[start : start + size]
+    workers = min(_process_count(), len(plan))
+    size = min(lockstep_size(net_layers, fold_epochs * epoch_bytes), -(-len(plan) // workers))
+
+    def run_group(group) -> list[FoldResult]:
         pipelines, jobs = zip(*(
             _fit_job(split(tr), split(va), num_words, net_layers, train_cfg, num_classes, sd)
             for *_, va, tr, sd in group
@@ -206,6 +219,7 @@ def cross_validate(
             round_index, fold_index = group[exc.member][:2]
             raise NumericError(f"round {round_index}, fold {fold_index}: {exc}") from exc
         del jobs  # the group's sequences and initial networks, before test scoring
+        results = []
         for (round_index, fold_index, test_ids, *_), pipeline, net, history in zip(
             group, pipelines, nets, histories
         ):
@@ -217,6 +231,10 @@ def cross_validate(
             results.append(FoldResult(
                 round_index, fold_index, tuple(test_ids), cm, p, r, f1, pipeline, len(history)
             ))
+        return results
+
+    groups = [plan[start : start + size] for start in range(0, len(plan), size)]
+    results = [fold for group in _in_processes(run_group, groups, workers) for fold in group]
 
     return CvReport(
         num_classes=num_classes,
@@ -227,6 +245,108 @@ def cross_validate(
         recall=float(np.mean([f.recall for f in results])),
         f1=float(np.mean([f.f1 for f in results])),
     )
+
+
+# what sets the threads of numpy's BLAS, in the order OpenBLAS reads them
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _process_count() -> int:
+    """How many processes cross-validation runs on: the CPUs this process may
+    run on (``os.sched_getaffinity``) divided by the threads each process's
+    BLAS starts, so that processes and their BLAS threads do not outnumber
+    the CPUs. The BLAS starts as many threads as the first of
+    ``BLAS_THREAD_VARIABLES`` set to a positive integer says, else one per
+    CPU. One process where ``os.fork`` or ``sched_getaffinity`` is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    for name in BLAS_THREAD_VARIABLES:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return max(1, cpus // threads)
+    return 1
+
+
+def _run_share(run, items, share):
+    """``run(items[i])`` for each index ``i`` of ``share`` in order, up to the
+    first exception. Returns the results by index and the fault, as
+    ``(index, exception)``, or None."""
+    done = {}
+    for i in share:
+        try:
+            done[i] = run(items[i])
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _in_processes(run, items, workers: int) -> list:
+    """``[run(item) for item in items]`` on ``workers`` processes.
+
+    Items are dealt round-robin into ``workers`` shares. The calling process
+    runs share 0 itself; each other share runs in a child made with
+    ``os.fork``, which reads the caller's memory copy-on-write and sends its
+    results, or its first exception, back through a pipe. Each share stops
+    at its own first exception, so the fault with the lowest item index is
+    the one a loop over ``items`` would raise, and it is raised (the caller's
+    own as the same object). A share whose worker ends without a result
+    (killed, or an outcome that does not pickle), or could not be forked,
+    runs in the caller, up to the earliest fault seen so far. A worker whose
+    whole share comes after a known fault is killed. Every child is killed,
+    if still running, and waited for on every path; none is waited for
+    before then, so no pid is reused while it is being signalled.
+    """
+    shares = [range(s, len(items), workers) for s in range(min(workers, len(items)))]
+    children = []  # (share, pid, pipe) per other share; pid and pipe None if not forked
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                children.append((share, None, None))
+                continue
+            if pid == 0:  # the worker: it never returns into the caller's stack
+                try:
+                    # an outcome that does not pickle is not sent: no result
+                    outcome = pickle.dumps(_run_share(run, items, share))
+                    with open(write_end, "wb") as out:
+                        out.write(outcome)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((share, pid, open(read_end, "rb")))
+        done, fault = _run_share(run, items, shares[0])
+        faults = [fault] if fault else []
+        for share, pid, pipe in children:
+            earliest = min((i for i, _ in faults), default=len(items))
+            outcome = b""
+            if pid is not None:
+                if share[0] > earliest:
+                    os.kill(pid, signal.SIGKILL)
+                with pipe:
+                    outcome = pipe.read()
+            try:
+                share_done, share_fault = pickle.loads(outcome)
+            except Exception:  # no usable result: run what can still matter here
+                share_done, share_fault = _run_share(run, items, [i for i in share if i < earliest])
+            done.update(share_done)
+            faults += [share_fault] if share_fault else []
+    finally:
+        for _, pid, pipe in children:
+            if pid is not None:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
+    return [done[i] for i in range(len(items))]
 
 
 def write_cv_csv(report: CvReport, path: str) -> None:

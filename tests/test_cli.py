@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sleepstager import cli, evaluate
-from sleepstager.config import KEYS
+from sleepstager.config import KEYS, load_config
 from sleepstager.evaluate import fit_model
 from sleepstager.features_low import FrameConfig, recording_low_features
 from sleepstager.ingest import load_cohort, stages_to_indices
@@ -580,18 +580,22 @@ def test_diverged_training_exits_3(cohort_dir, tmp_path, capsys, setting):
     assert os.listdir(tmp_path) == []
 
 
-def run_cli(argv, address_space=None):
+def run_cli(argv, address_space=None, cpus=None):
     """``sleepstager argv`` in a process of its own, with one BLAS thread and,
-    if given, ``address_space`` bytes as that process's RLIMIT_AS."""
+    if given, ``address_space`` bytes as that process's RLIMIT_AS and the set
+    ``cpus`` as its CPU affinity."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        if address_space:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        if cpus:
+            os.sched_setaffinity(0, cpus)
 
     cmd = [sys.executable, "-m", "sleepstager.cli"] + argv
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300,
-                          preexec_fn=limit if address_space else None)
+                          preexec_fn=limit if address_space or cpus else None)
 
 
 def test_numeric_failure_is_one_line_on_stderr(cohort_dir, tmp_path):
@@ -603,6 +607,7 @@ def test_numeric_failure_is_one_line_on_stderr(cohort_dir, tmp_path):
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.usefixtures("one_process")
 def test_a_fold_diverging_in_its_group_names_round_fold_and_pass(
     cohort_dir, tmp_path, capsys, monkeypatch
 ):
@@ -628,6 +633,67 @@ def test_a_fold_diverging_in_its_group_names_round_fold_and_pass(
     pass_1 = "training diverged in pass 1: val loss nan, 6325 non-finite parameter(s)"
     assert err == f"numeric failure: round 0, fold 2: {pass_1}\n"
     assert len(calls) == 4 and os.listdir(tmp_path) == []
+
+
+def cv_exit(argv, capsys, monkeypatch, processes):
+    monkeypatch.setattr(evaluate, "_process_count", lambda: processes)
+    rc = cli.main(argv)
+    return rc, capsys.readouterr().err
+
+
+def test_a_fold_diverging_in_a_worker_is_named_as_in_one_process(
+    cohort_dir, tmp_path, capsys, monkeypatch
+):
+    # on two processes five folds train as groups of three (the caller) and
+    # two (a worker); fold 3's network starts non-finite, chosen by its init seed
+    seeds = np.random.SeedSequence(load_config(None, []).seed, spawn_key=(0, 3)).generate_state(3)
+    real = evaluate.init_params
+
+    def poisoned(spec, seed, init_std):
+        net = real(spec, seed=seed, init_std=init_std)
+        if seed == seeds[1]:
+            net.flat[:] = np.nan
+        return net
+
+    monkeypatch.setattr(evaluate, "init_params", poisoned)
+    out = [str(tmp_path / "cv.csv"), str(tmp_path / "cv.json")]
+    argv = ["cv", cohort_dir, "--out-csv", out[0], "--out-json", out[1]]
+    argv += ["--set", "folds=5", "--set", "rounds=1"] + FAST
+    pass_1 = "training diverged in pass 1: val loss nan, 6325 non-finite parameter(s)"
+    serial = (3, f"numeric failure: round 0, fold 3: {pass_1}\n")
+    assert cv_exit(argv, capsys, monkeypatch, 1) == serial
+    assert cv_exit(argv, capsys, monkeypatch, 2) == serial
+    assert os.listdir(tmp_path) == []
+
+
+def test_running_out_of_memory_in_a_worker_is_a_config_error(
+    cohort_dir, tmp_path, capsys, monkeypatch
+):
+    caller, real = os.getpid(), evaluate.train
+
+    def train(*job, score_train):
+        if os.getpid() != caller:
+            raise MemoryError("Unable to allocate 1.00 TiB in a worker")
+        return real(*job, score_train=score_train)
+
+    monkeypatch.setattr(evaluate, "train", train)
+    out = [str(tmp_path / "cv.csv"), str(tmp_path / "cv.json")]
+    argv = ["cv", cohort_dir, "--out-csv", out[0], "--out-json", out[1], "--set", "folds=5"]
+    err = "config error: out of memory: Unable to allocate 1.00 TiB in a worker\n"
+    assert cv_exit(argv + FAST, capsys, monkeypatch, 2) == (1, err)
+    assert os.listdir(tmp_path) == []
+
+
+def test_cv_on_one_cpu_writes_the_bytes_of_an_unrestricted_run(cohort_dir, tmp_path):
+    # the CPU affinity of the child process alone is restricted
+    outputs = []
+    for tag, cpus in (("all", None), ("one", {min(os.sched_getaffinity(0))})):
+        out = [str(tmp_path / f"{tag}.csv"), str(tmp_path / f"{tag}.json")]
+        argv = ["cv", cohort_dir, "--out-csv", out[0], "--out-json", out[1]]
+        proc = run_cli(argv + ["--set", "folds=5", "--set", "rounds=2"] + FAST, cpus=cpus)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([read_bytes(path) for path in out])
+    assert outputs[0] == outputs[1]
 
 
 @settings(max_examples=7)

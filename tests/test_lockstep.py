@@ -305,6 +305,7 @@ def cv_args(units):
     return recs, FrameConfig(frame_epochs=4), 6, (("lstm", units),), cfg
 
 
+@pytest.mark.usefixtures("one_process")
 @pytest.mark.parametrize("units, sizes", [(64, [4, 1]), (65, [1] * 5)])
 def test_only_narrow_layers_train_in_lockstep(monkeypatch, units, sizes):
     seen = []
@@ -336,6 +337,7 @@ def test_a_group_holds_at_most_lockstep_max_bytes_of_sequences(nights, epochs, s
     assert training.lockstep_size((("blstm", 32),), fold_bytes(nights, epochs)) == size
 
 
+@pytest.mark.usefixtures("one_process")
 @pytest.mark.parametrize("spare, sizes", [(0, [2, 2, 1]), (-1, [1] * 5)])
 def test_cross_validation_bounds_groups_by_sequence_bytes(monkeypatch, spare, sizes):
     seen = []
@@ -354,6 +356,7 @@ def test_cross_validation_bounds_groups_by_sequence_bytes(monkeypatch, spare, si
     assert seen == sizes
 
 
+@pytest.mark.usefixtures("one_process")
 def test_cross_validation_scores_only_the_validation_nights(monkeypatch):
     vals, scored = [], []
 
