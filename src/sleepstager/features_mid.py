@@ -26,17 +26,24 @@ class Dictionary:
     """K learned prototype vectors plus how the fit went.
 
     ``objective_history`` records the total squared distance at each
-    assignment step; Lloyd guarantees it never increases.
+    assignment step; Lloyd guarantees it never increases. The iteration
+    count and the final objective are its length and last value.
     """
 
     centers: np.ndarray
-    iterations: int
-    objective: float
     objective_history: tuple[float, ...]
 
     @property
     def num_words(self) -> int:
         return self.centers.shape[0]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_history)
+
+    @property
+    def objective(self) -> float:
+        return self.objective_history[-1]
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,6 @@ def kmeans_fit(samples: np.ndarray, k: int, seed: int) -> Dictionary:
 
     history: list[float] = []
     prev = np.inf
-    iterations = 0
     for _ in range(KMEANS_MAX_ITERS):
         assign = np.argmin(_squared_distances(samples, centers, sample_norms), axis=1)
         # objective from direct subtraction so coincident point/center pairs
@@ -121,9 +127,8 @@ def kmeans_fit(samples: np.ndarray, k: int, seed: int) -> Dictionary:
         point_d2 = np.sum((samples - centers[assign]) ** 2, axis=1)
         objective = float(point_d2.sum())
         if not math.isfinite(objective):
-            raise NumericError(f"k-means iteration {iterations + 1}: objective overflows float64")
+            raise NumericError(f"k-means iteration {len(history) + 1}: objective overflows float64")
         history.append(objective)
-        iterations += 1
 
         # repair: empty clusters steal the globally farthest points, one
         # each, before means are taken; the stolen point becomes a singleton
@@ -149,12 +154,7 @@ def kmeans_fit(samples: np.ndarray, k: int, seed: int) -> Dictionary:
                 break
         prev = objective
 
-    return Dictionary(
-        centers=centers,
-        iterations=iterations,
-        objective=history[-1],
-        objective_history=tuple(history),
-    )
+    return Dictionary(centers=centers, objective_history=tuple(history))
 
 
 def bow_encode(features: np.ndarray, dictionary: Dictionary) -> np.ndarray:

@@ -107,20 +107,23 @@ class Recording:
     hr: HeartRateSeries
     act: ActigraphySeries
     labels: tuple[SleepStage, ...]
-    epoch_seconds: float = EPOCH_SECONDS
 
     @property
     def num_epochs(self) -> int:
         return len(self.labels)
 
+    @property
+    def epoch_seconds(self) -> float:
+        return EPOCH_SECONDS
+
 
 def _split_epochs(values: np.ndarray, t: np.ndarray, rec: Recording) -> list[np.ndarray]:
     """Rows of ``values`` (one per time in ``t``) bucketed into the recording's epochs.
 
-    A sample at time t belongs to epoch floor(t / epoch_seconds); samples
+    A sample at time t belongs to epoch floor(t / EPOCH_SECONDS); samples
     outside the span are dropped and each epoch keeps its samples' order.
     """
-    idx = np.floor(t / rec.epoch_seconds).astype(np.int64)
+    idx = np.floor(t / EPOCH_SECONDS).astype(np.int64)
     if np.any(idx[1:] < idx[:-1]):
         order = np.argsort(idx, kind="stable")
         idx, values = idx[order], values[order]

@@ -7,25 +7,29 @@ with, so all three travel in one file:
     8 bytes   header length, little-endian unsigned
     N bytes   JSON header (sorted keys, compact separators): class mode,
               frame sizes, layer descriptors, codebook size, feature dims,
-              codebook fit metadata, and the name/shape of every array
+              the codebook's objective history with its length and last
+              value, and the name/shape of every array
     rest      the arrays as raw little-endian float64, in header order:
               dictionary centers, normalization mean, normalization std,
               then network parameters in canonical order
 
-Writing is deterministic: identical inputs produce identical bytes.
+The header's sizes fix the array list (``_layout``) and the history fixes
+the codebook's iteration count and objective; a file that says otherwise is
+refused. Writing is deterministic: identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
 
 import numpy as np
 
+from .errors import DataValidationError
 from .features_low import FrameConfig
 from .features_mid import Dictionary, NormStats
-from .ingest import DataValidationError
 from .network import NetSpec, Network
 from .pipeline import FittedModel, FittedPipeline
 
@@ -64,56 +68,39 @@ def _unpack(path: str) -> tuple[dict, np.ndarray]:
     return header, np.frombuffer(data[16 + hlen :], dtype="<f8")
 
 
-def _arrays(body: np.ndarray, meta, path: str) -> dict[str, np.ndarray]:
-    """The (name, shape) arrays a header lists; the body must hold exactly
-    them, all finite."""
-    loaded: dict[str, np.ndarray] = {}
-    offset = 0
-    try:
-        for name, shape in meta:
-            n = math.prod(shape)
-            if offset + n > body.size:
-                raise DataValidationError(f"{path}: body shorter than header promises")
-            loaded[name] = body[offset : offset + n].reshape(shape).astype(np.float64)
-            offset += n
-    except DataValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DataValidationError(f"{path}: invalid array list: {exc}") from exc
-    if offset != body.size:
-        raise DataValidationError(f"{path}: trailing bytes after promised arrays")
-    if not all(np.all(np.isfinite(a)) for a in loaded.values()):
-        raise DataValidationError(f"{path}: non-finite values in arrays")
-    return loaded
+def _layout(spec: NetSpec, num_words: int, low_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Every array's name and shape in body order, as the header's sizes fix them."""
+    return [
+        ("dictionary.centers", (num_words, low_dim)),
+        ("norm.mean", (spec.input_dim,)),
+        ("norm.std", (spec.input_dim,)),
+    ] + [(f"net.{name}", shape) for name, shape in spec.param_shapes()]
 
 
 def save_model(model: FittedModel, path: str) -> None:
     d = model.pipeline.dictionary
     stats = model.pipeline.stats
-    arrays = [d.centers, stats.mean, stats.std, model.net.flat]
-    array_meta = [
-        ["dictionary.centers", list(d.centers.shape)],
-        ["norm.mean", list(stats.mean.shape)],
-        ["norm.std", list(stats.std.shape)],
-    ] + [[f"net.{name}", list(arr.shape)] for name, arr in model.net.params.items()]
+    low_dim = d.centers.shape[1]
     header = {
         "version": FORMAT_VERSION,
         "num_classes": model.num_classes,
         "frame": vars(model.frame),
         "final_dim": model.pipeline.final_dim,
         "layers": [[kind, hidden] for kind, hidden in model.net.spec.layers],
-        "arrays": array_meta,
+        "arrays": _layout(model.net.spec, d.num_words, low_dim),
         "num_words": d.num_words,
-        "low_dim": d.centers.shape[1],
+        "low_dim": low_dim,
         "dict_iterations": d.iterations,
         "dict_objective": d.objective,
         "dict_objective_history": list(d.objective_history),
     }
     with open(path, "wb") as fh:
-        fh.write(_pack(header, arrays))
+        fh.write(_pack(header, [d.centers, stats.mean, stats.std, model.net.flat]))
 
 
 def load_model(path: str) -> FittedModel:
+    """The model in the file at ``path``; the header's sizes are checked
+    against its array list and body before anything is allocated."""
     header, body = _unpack(path)
     try:
         frame = FrameConfig(**header["frame"])
@@ -122,53 +109,40 @@ def load_model(path: str) -> FittedModel:
             num_classes=header["num_classes"],
             layers=tuple((k, h) for k, h in header["layers"]),
         )
-        array_meta, final_dim = header["arrays"], header["final_dim"]
-        num_words, low_dim = header["num_words"], header["low_dim"]
-        iterations, objective = header["dict_iterations"], header["dict_objective"]
-        history = tuple(header["dict_objective_history"])
-        sizes = [*vars(frame).values(), spec.num_classes, low_dim, num_words, final_dim]
+        arrays, num_words, low_dim = list(header["arrays"]), header["num_words"], header["low_dim"]
+        summary = [header["dict_iterations"], header["dict_objective"]]
+        history = header["dict_objective_history"]
+        sizes = [*vars(frame).values(), spec.num_classes, low_dim, num_words, spec.input_dim]
         if not all(type(n) is int for n in sizes + [h for _, h in spec.layers]):
             raise TypeError("sizes must be integers")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: invalid header: {exc}") from exc
 
-    loaded = _arrays(body, array_meta, path)
-    # the layout is checked against the body before the network is
-    # allocated, so a header cannot claim more parameters than the file holds
-    layout = [(f"net.{name}", shape) for name, shape in spec.param_shapes()]
-    required = ["dictionary.centers", "norm.mean", "norm.std"]
-    for key in required + [key for key, _ in layout]:
-        if key not in loaded:
-            raise DataValidationError(f"{path}: missing array {key}")
-    centers, mean, std = (loaded[key] for key in required)
-    if not (
-        centers.shape == (num_words, low_dim) and low_dim == frame.dim
-        and final_dim == low_dim + num_words and mean.shape == std.shape == (final_dim,)
-    ):
-        raise DataValidationError(
-            f"{path}: inconsistent dims: centers {centers.shape}, num_words {num_words}, "
-            f"low_dim {low_dim}, frame dim {frame.dim}, final_dim {final_dim}, "
-            f"norm.mean {mean.shape}, norm.std {std.shape}"
-        )
-    for key, shape in layout:
-        if loaded[key].shape != shape:
-            raise DataValidationError(f"{path}: shape mismatch for {key}")
-    if type(iterations) is not int or iterations < 1:
-        raise DataValidationError(
-            f"{path}: iterations must be a positive integer, got {iterations!r}"
-        )
-    if type(objective) not in (int, float) or not 0 <= objective < math.inf:
-        raise DataValidationError(f"{path}: objective must be finite and >= 0, got {objective!r}")
-    net = Network.zeros(spec)
-    for name, arr in net.params.items():
-        arr[:] = loaded[f"net.{name}"]
-    return FittedModel(
-        frame=frame,
-        num_classes=header["num_classes"],
-        pipeline=FittedPipeline(
-            dictionary=Dictionary(centers, iterations, objective, history),
-            stats=NormStats(mean=mean, std=std),
-        ),
-        net=net,
-    )
+    if not (low_dim == frame.dim and num_words >= 0 and spec.input_dim == low_dim + num_words):
+        raise DataValidationError(f"{path}: inconsistent dims: low_dim {low_dim}, frame dim "
+                                  f"{frame.dim}, num_words {num_words}, final_dim {spec.input_dim}")
+    # entries compare as JSON text, so 3.0 or true does not pass for 3 or 1
+    layout = _layout(spec, num_words, low_dim)
+    for i, (got, want) in enumerate(itertools.zip_longest(arrays, layout)):
+        if json.dumps(got) != json.dumps(want):
+            raise DataValidationError(f"{path}: inconsistent dims: array {i} is "
+                                      f"{json.dumps(got)}, the sizes fix {json.dumps(want)}")
+    counts = [math.prod(shape) for _, shape in layout]
+    if body.size != sum(counts):
+        raise DataValidationError(f"{path}: body has {body.size} values, the layout {sum(counts)}")
+    if not np.isfinite(body).all():
+        raise DataValidationError(f"{path}: non-finite values in arrays")
+    centers, mean, std, flat = np.split(body.astype(np.float64), np.cumsum(counts[:3]))
 
+    if not (type(history) is list and history and all(
+        type(v) in (int, float) and 0 <= v < math.inf for v in history
+    )):
+        raise DataValidationError(f"{path}: dict_objective_history is not a non-empty list "
+                                  "of finite numbers >= 0")
+    dictionary = Dictionary(centers.reshape(num_words, low_dim), tuple(history))
+    derived = [dictionary.iterations, dictionary.objective]
+    if json.dumps(summary) != json.dumps(derived):
+        raise DataValidationError(f"{path}: dict_iterations, dict_objective are {summary}, "
+                                  f"the history's length and last value {derived}")
+    pipeline = FittedPipeline(dictionary, NormStats(mean=mean, std=std))
+    return FittedModel(frame, spec.num_classes, pipeline, Network(spec, flat))

@@ -220,7 +220,6 @@ def _perturb(rec: Recording) -> Recording:
         hr=HeartRateSeries(t=rec.hr.t, bpm=rec.hr.bpm + 4.0),
         act=ActigraphySeries(t=rec.act.t, xyz=rec.act.xyz * 1.25),
         labels=rec.labels,
-        epoch_seconds=rec.epoch_seconds,
     )
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line: exit codes, files, determinism."""
 
 import json
+import math
 import os
 import resource
 import shutil
@@ -20,6 +21,7 @@ from sleepstager.ingest import load_cohort, stages_to_indices
 from sleepstager.modelio import load_model, save_model
 from sleepstager.training import TrainConfig
 from test_ingest import CSV_CASES, write_case
+from test_modelio import GOLDEN, read_file, rewrite_header
 
 FAST = [
     "--set", "frame_epochs=4",
@@ -446,6 +448,61 @@ def test_a_codebook_file_is_not_a_model(cohort_dir, tmp_path):
     proc = run_cli(["eval", str(path), cohort_dir])
     assert proc.returncode == 2
     assert proc.stderr == f"data error: {path}: not a SLPNET01 file\n"
+
+
+def _header_edit(draw):
+    """An edit of the golden model's header that ``save_model`` would never write."""
+    kind = draw(st.sampled_from(["entry", "history", "summary", "arrays"]), label="kind")
+    if kind == "entry":  # one malformed objective in the codebook history
+        bad = st.one_of(
+            st.text(max_size=3),
+            st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+            st.floats(max_value=-5e-324, allow_infinity=False),
+            st.lists(st.floats(0, 9), max_size=2),
+        )
+        at, value = draw(st.integers(0, 4), label="at"), draw(bad, label="value")
+        return lambda h: h["dict_objective_history"].insert(at, value)
+    if kind == "history":
+        value = draw(st.sampled_from([[], "abc", 4, None, {"a": 1.0}]), label="history")
+        return lambda h: h.update(dict_objective_history=value)
+    if kind == "summary":  # the iteration count or the objective off by one
+        key = draw(st.sampled_from(["dict_iterations", "dict_objective"]), label="key")
+        step = draw(st.sampled_from([-1, 1]), label="step")
+        return lambda h: h.update({key: h[key] + step})
+    op = draw(st.sampled_from(["reorder", "drop", "rename", "reshape", "add"]), label="op")
+    i, j = draw(st.lists(st.integers(0, 36), min_size=2, max_size=2, unique=True), label="entries")
+    name = draw(st.text(min_size=1, max_size=8).filter(lambda n: not n.startswith(("net.", "norm.", "dict"))))
+    prepend = draw(st.booleans(), label="prepend")
+
+    def edit(h):
+        arrays = h["arrays"]
+        if op == "reorder":
+            arrays.insert(j, arrays.pop(i))
+        elif op == "drop":
+            del arrays[i]
+        elif op == "rename":
+            arrays[i][0] = name
+        elif op == "reshape":  # one more axis of length 1: same size, other shape
+            arrays[i][1] = [1] + arrays[i][1] if prepend else arrays[i][1] + [1]
+        else:  # no values: the body still holds exactly what the others list
+            arrays.insert(i, [name, [0]])
+
+    return edit
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_model_header_save_model_would_not_write_exits_2(cohort_dir, tmp_path, capsys, data):
+    # the history, summary, reorder and add edits all loaded before the array
+    # list had to be the layout the sizes fix
+    path = tmp_path / "model.slpnet"
+    path.write_bytes(read_file(GOLDEN["model"][0]))
+    rewrite_header(str(path), _header_edit(data.draw))
+    capsys.readouterr()
+    assert cli.main(["eval", str(path), cohort_dir]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_config_file_and_set_precedence(tmp_path, capsys):

@@ -12,6 +12,7 @@ from sleepstager.features_low import (
     recording_low_features,
 )
 from sleepstager.ingest import (
+    EPOCH_SECONDS,
     ActigraphySeries,
     HeartRateSeries,
     Recording,
@@ -26,12 +27,12 @@ from per_epoch_oracle import per_epoch_low_features
 from test_ingest import make_recording
 
 
-def build_recording(rr_epochs, act_epochs, epoch_seconds=30.0):
+def build_recording(rr_epochs, act_epochs):
     """A recording whose epoch k holds RR intervals rr_epochs[k] and rows act_epochs[k].
 
     Samples sit evenly inside each epoch; heart rate is stored as 60 / rr.
     """
-    e = epoch_seconds
+    e = EPOCH_SECONDS
     hr_t, bpm, act_t = [], [], []
     for k, (rr, act) in enumerate(zip(rr_epochs, act_epochs)):
         hr_t.append(k * e + (np.arange(len(rr)) + 0.5) * e / max(len(rr), 1))
@@ -42,7 +43,6 @@ def build_recording(rr_epochs, act_epochs, epoch_seconds=30.0):
         hr=HeartRateSeries(t=np.concatenate(hr_t), bpm=np.concatenate(bpm)),
         act=ActigraphySeries(t=np.concatenate(act_t), xyz=np.concatenate(act_epochs, axis=0)),
         labels=(SleepStage.W,) * len(rr_epochs),
-        epoch_seconds=e,
     )
 
 

@@ -162,14 +162,14 @@ class TestKmeans:
 class TestBowEncode:
     def test_coincident_point_gives_zero(self):
         centers = np.array([[0.0, 0.0], [3.0, 4.0]])
-        d = Dictionary(centers=centers, iterations=1, objective=0.0, objective_history=(0.0,))
+        d = Dictionary(centers=centers, objective_history=(0.0,))
         out = bow_encode(np.array([[3.0, 4.0]]), d)
         np.testing.assert_allclose(out, [[5.0, 0.0]], atol=1e-12)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(5)
         centers = rng.standard_normal((12, 9))
-        d = Dictionary(centers=centers, iterations=1, objective=0.0, objective_history=(0.0,))
+        d = Dictionary(centers=centers, objective_history=(0.0,))
         for _ in range(20):
             f = rng.standard_normal(9)
             naive = np.array([np.linalg.norm(f - c) for c in centers])
@@ -178,7 +178,7 @@ class TestBowEncode:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
         centers = rng.standard_normal((4, 3))
-        d = Dictionary(centers=centers, iterations=1, objective=0.0, objective_history=(0.0,))
+        d = Dictionary(centers=centers, objective_history=(0.0,))
         batch = rng.standard_normal((7, 3))
         out = bow_encode(batch, d)
         assert out.shape == (7, 4)
@@ -188,14 +188,14 @@ class TestBowEncode:
     def test_nonnegative_and_triangle_inequality(self):
         rng = np.random.default_rng(7)
         centers = rng.standard_normal((5, 4))
-        d = Dictionary(centers=centers, iterations=1, objective=0.0, objective_history=(0.0,))
+        d = Dictionary(centers=centers, objective_history=(0.0,))
         a, b = rng.standard_normal(4), rng.standard_normal(4)
         da, db = bow_encode(np.stack([a, b]), d)
         assert np.all(da >= 0)
         assert np.all(np.abs(da - db) <= np.linalg.norm(a - b) + 1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        d = Dictionary(centers=np.zeros((2, 3)), iterations=1, objective=0.0, objective_history=(0.0,))
+        d = Dictionary(centers=np.zeros((2, 3)), objective_history=(0.0,))
         for features in (np.zeros((2, 4)), np.zeros(4), np.zeros(3), np.zeros(())):
             with pytest.raises(ValueError, match=r"features must have shape \(n, 3\)"):
                 bow_encode(features, d)
@@ -206,7 +206,7 @@ class TestAssembleAndZscore:
         # a final row is the low block, then the distance to each word
         low = np.arange(6.0).reshape(2, 3)
         centers = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 9.0]])
-        d = Dictionary(centers=centers, iterations=1, objective=0.0, objective_history=(0.0,))
+        d = Dictionary(centers=centers, objective_history=(0.0,))
         unit = NormStats(mean=np.zeros(5), std=np.ones(5))
         final = FittedPipeline(d, unit).transform(low)
         assert final.shape == (2, 5)

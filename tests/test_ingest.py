@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sleepstager.ingest import (
+    EPOCH_SECONDS,
     WRITE_CHUNK,
     ActigraphySeries,
     DataValidationError,
@@ -46,9 +47,9 @@ W, N1, N2, N3, REM = (
 )
 
 
-def make_recording(n_epochs=4, subject_id="s01", epoch_seconds=30.0, seed=0):
+def make_recording(n_epochs=4, subject_id="s01", seed=0):
     rng = np.random.default_rng(seed)
-    span = n_epochs * epoch_seconds
+    span = n_epochs * EPOCH_SECONDS
     hr_t = np.arange(0.0, span, 1.0)
     hr = HeartRateSeries(t=hr_t, bpm=60.0 + 5.0 * rng.standard_normal(hr_t.size))
     act_t = np.arange(int(span * 32)) / 32.0
@@ -111,7 +112,7 @@ class TestRrConversion:
     @given(st.data())
     def test_bucketing_matches_per_epoch_masks(self, data):
         # any times: unsorted, outside the span, on and just below epoch boundaries
-        e = data.draw(st.sampled_from([30.0, 7.3, 0.1]), label="epoch_seconds")
+        e = EPOCH_SECONDS
         n = data.draw(st.integers(0, 6), label="epochs")
         boundary = st.integers(-2, n + 2).map(lambda k: k * e)
         below = boundary.map(lambda b: float(np.nextafter(b, -np.inf)))
@@ -123,7 +124,6 @@ class TestRrConversion:
             hr=HeartRateSeries(t=hr_t, bpm=50.0 + np.arange(hr_t.size)),
             act=ActigraphySeries(t=act_t, xyz=np.arange(3.0 * act_t.size).reshape(-1, 3)),
             labels=(W,) * n,
-            epoch_seconds=e,
         )
         got = epoch_rr(rec) + epoch_actigraphy(rec)
         expect = mask_epoch_rr(rec) + mask_epoch_actigraphy(rec)

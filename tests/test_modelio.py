@@ -178,7 +178,8 @@ def test_header_without_pipeline_array_rejected(tmp_path, name):
                 entry[0] = "unused"
 
     rewrite_header(path, rename)
-    with pytest.raises(DataValidationError, match=f"missing array {name}"):
+    with pytest.raises(DataValidationError,
+                       match=rf'inconsistent dims: array \d is \["unused", .*the sizes fix \["{name}"'):
         load_model(path)
 
 
@@ -192,7 +193,7 @@ def test_net_shape_mismatch_rejected(tmp_path):
                 entry[1] = entry[1][::-1]
 
     rewrite_header(path, transpose_out_w)
-    with pytest.raises(DataValidationError, match="shape mismatch"):
+    with pytest.raises(DataValidationError, match=r'inconsistent dims: array \d+ is \["net.out.W"'):
         load_model(path)
 
 
@@ -345,19 +346,23 @@ def test_non_integer_sizes_rejected(tmp_path, edit):
         load_model(path)
 
 
+SUMMARY = "dict_iterations, dict_objective are .*, the history's length and last value"
+
+
 @pytest.mark.parametrize(
     "edit, match",
     [
         ({"num_words": 7}, "inconsistent dims"),
         ({"low_dim": 99}, "inconsistent dims"),
         ({"num_words": 3.0}, "invalid header: sizes must be integers"),
-        ({"dict_iterations": -5}, "iterations must be a positive integer"),
-        ({"dict_iterations": 0}, "iterations must be a positive integer"),
-        ({"dict_iterations": 7.0}, "iterations must be a positive integer"),
-        ({"dict_objective": -1.0}, "objective must be finite and >= 0"),
-        ({"dict_objective": float("nan")}, "objective must be finite and >= 0"),
-        ({"dict_objective": float("inf")}, "objective must be finite and >= 0"),
-        ({"dict_objective": "1.0"}, "objective must be finite and >= 0"),
+        # each id names the rule the written value breaks
+        pytest.param({"dict_iterations": -5}, SUMMARY, id="edit3-iterations must be a positive integer"),
+        pytest.param({"dict_iterations": 0}, SUMMARY, id="edit4-iterations must be a positive integer"),
+        pytest.param({"dict_iterations": 7.0}, SUMMARY, id="edit5-iterations must be a positive integer"),
+        pytest.param({"dict_objective": -1.0}, SUMMARY, id="edit6-objective must be finite and >= 0"),
+        pytest.param({"dict_objective": float("nan")}, SUMMARY, id="edit7-objective must be finite and >= 0"),
+        pytest.param({"dict_objective": float("inf")}, SUMMARY, id="edit8-objective must be finite and >= 0"),
+        pytest.param({"dict_objective": "1.0"}, SUMMARY, id="edit9-objective must be finite and >= 0"),
     ],
 )
 def test_dictionary_metadata_must_fit_its_centres(tmp_path, edit, match):
@@ -378,5 +383,6 @@ def test_header_claiming_a_huge_layer_is_a_data_error(tmp_path):
     with open(path, "wb") as fh:
         fh.write(read_file(GOLDEN["model"][0]))
     rewrite_header(path, lambda header: header.update(layers=[["blstm", 10**20], ["mlp", 3]]))
-    with pytest.raises(DataValidationError, match="shape mismatch for net.layer0.fwd.W_xi"):
+    with pytest.raises(DataValidationError, match=r'array 3 is \["net.layer0.fwd.W_xi", \[2, 30\]\], '
+                       r'the sizes fix \["net.layer0.fwd.W_xi", \[100000000000000000000, 30\]\]'):
         load_model(path)
