@@ -15,7 +15,8 @@ with, so all three travel in one file:
 
 The header's sizes fix the array list (``_layout``) and the history fixes
 the codebook's iteration count and objective; a file that says otherwise is
-refused. Writing is deterministic: identical inputs produce identical bytes.
+refused, and ``save_model`` runs the same checks on its bytes before it
+writes them. Writing is deterministic: identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -38,18 +39,13 @@ FORMAT_VERSION = 1
 
 
 def _pack(header: dict, arrays: list[np.ndarray]) -> bytes:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise DataValidationError("refusing to serialize non-finite arrays")
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     return MODEL_MAGIC + struct.pack("<Q", len(blob)) + blob + body
 
 
-def _unpack(path: str) -> tuple[dict, np.ndarray]:
-    """The header and float64 body of the model file at ``path``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _unpack(data: bytes, path: str) -> tuple[dict, np.ndarray]:
+    """The header and float64 body of ``data``, the bytes of the model file ``path``."""
     if len(data) < 16 or data[:8] != MODEL_MAGIC:
         raise DataValidationError(f"{path}: not a {MODEL_MAGIC.decode()} file")
     (hlen,) = struct.unpack("<Q", data[8:16])
@@ -78,6 +74,9 @@ def _layout(spec: NetSpec, num_words: int, low_dim: int) -> list[tuple[str, tupl
 
 
 def save_model(model: FittedModel, path: str) -> None:
+    """Write ``model`` to ``path``. A model whose parts disagree, which
+    ``load_model`` would refuse, raises ``DataValidationError`` before the
+    file is opened."""
     d = model.pipeline.dictionary
     stats = model.pipeline.stats
     low_dim = d.centers.shape[1]
@@ -94,14 +93,21 @@ def save_model(model: FittedModel, path: str) -> None:
         "dict_objective": d.objective,
         "dict_objective_history": list(d.objective_history),
     }
+    data = _pack(header, [d.centers, stats.mean, stats.std, model.net.flat])
+    _parse(data, path)
     with open(path, "wb") as fh:
-        fh.write(_pack(header, [d.centers, stats.mean, stats.std, model.net.flat]))
+        fh.write(data)
 
 
 def load_model(path: str) -> FittedModel:
     """The model in the file at ``path``; the header's sizes are checked
     against its array list and body before anything is allocated."""
-    header, body = _unpack(path)
+    with open(path, "rb") as fh:
+        return _parse(fh.read(), path)
+
+
+def _parse(data: bytes, path: str) -> FittedModel:
+    header, body = _unpack(data, path)
     try:
         frame = FrameConfig(**header["frame"])
         spec = NetSpec(

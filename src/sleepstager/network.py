@@ -123,25 +123,6 @@ class NetSpec:
         return out
 
 
-class ParamViews(dict):
-    """Name -> view into ``flat`` for every parameter of a spec, canonical order.
-
-    Used both for a network's parameters and for its gradients, so a whole
-    update is one vector operation on ``flat``.
-    """
-
-    def __init__(self, spec: NetSpec, flat: np.ndarray):
-        super().__init__()
-        self.flat = flat
-        offset = 0
-        for name, shape in spec.param_shapes():
-            size = math.prod(shape)
-            self[name] = flat[offset : offset + size].reshape(shape)
-            offset += size
-        if offset != flat.size:
-            raise ValueError(f"flat vector has {flat.size} values, the layout {offset}")
-
-
 @dataclass
 class Layer:
     """One stack level of a network: ``kind``, ``hidden`` units over ``inputs``
@@ -170,12 +151,21 @@ class Network:
 
     ``flat`` holds every parameter; ``params`` maps each name of
     ``spec.param_shapes()`` to its view, and each layer's ``block`` is a view.
+    Loss gradients are a ``Network`` of the same spec, written through the
+    same views, so an update is one vector operation on ``flat``.
     """
 
     def __init__(self, spec: NetSpec, flat: np.ndarray):
         self.spec = spec
         self.flat = flat
-        self.params = ParamViews(spec, flat)
+        self.params: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in spec.param_shapes():
+            size = math.prod(shape)
+            self.params[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        if offset != flat.size:
+            raise ValueError(f"flat vector has {flat.size} values, the layout {offset}")
         self.layers: list[Layer] = []
         start = 0
         for k, ((kind, hidden), (d_in, _)) in enumerate(zip(spec.layers, spec.layer_io_dims())):
@@ -242,7 +232,7 @@ def _scan(A: np.ndarray, Wh, wc, trace: bool = True) -> dict[str, np.ndarray]:
     return {"i": IF[:, :, :, 0], "f": IF[:, :, :, 1], "g": G, "c": C, "o": O, "h": Hs}
 
 
-def _scan_backward(cache: dict, Wh, wc, dHs: np.ndarray):
+def _scan_backward(cache: dict, Wh, wc, dHs: np.ndarray, outs) -> np.ndarray:
     """Exact reverse-time gradients of one scan.
 
     Every derivative factor that does not involve the carries is computed
@@ -251,9 +241,9 @@ def _scan_backward(cache: dict, Wh, wc, dHs: np.ndarray):
     current step and the input/forget peepholes one step later. ``dHs`` is
     zero past each network's length, and each network's weight gradients
     are summed over its own ``cache["T"]`` steps, as a scan of it alone
-    would sum them. Returns the gate pre-activation gradients dA
-    (T, K, B, 4H) and the gradients of W_h, w_c and b as one
-    (K, 4H*H + 3H + 4H) array.
+    would sum them. Network m's gradients of W_h, w_c and b are written
+    into ``outs[m]``, its gradient layer's operands; returns the gate
+    pre-activation gradients dA (T, K, B, 4H).
     """
     I, F, G, C, O = cache["i"], cache["f"], cache["g"], cache["c"], cache["o"]
     T, K, B, H = C.shape
@@ -277,21 +267,18 @@ def _scan_backward(cache: dict, Wh, wc, dHs: np.ndarray):
     del tc, P_o, P_c, P_ifg, P_cc  # freed before the reductions allocate
     H_prev = np.concatenate([np.zeros((1, K, B, H)), cache["h"][:-1]])
     k = K // len(cache["T"])
-    grads = []
-    for m, T_m in enumerate(cache["T"]):
+    for m, (T_m, (_, gWh, gwc, gb)) in enumerate(zip(cache["T"], outs)):
         own = (slice(T_m), slice(m * k, (m + 1) * k))
         dA_m = dA[own]
         # contiguous, as alone: BLAS may round differently for other strides
         dA_k = np.ascontiguousarray(dA_m.transpose(1, 0, 2, 3).reshape(k, T_m * B, 4 * H))
         H_k = np.ascontiguousarray(H_prev[own].transpose(1, 0, 2, 3).reshape(k, T_m * B, H))
         d_wif = dA_m[..., : 2 * H].reshape(T_m, k, B, 2, H) * C_prev[own][:, :, :, None]
-        grads.append(np.concatenate([
-            np.matmul(dA_k.transpose(0, 2, 1), H_k).reshape(k, -1),
-            d_wif.sum(axis=(0, 2)).reshape(k, -1),
-            (dA_m[..., 3 * H :] * C[own]).sum(axis=(0, 2)),
-            dA_k.sum(axis=1),
-        ], axis=1))
-    return dA, np.concatenate(grads)
+        gWh[:] = np.matmul(dA_k.transpose(0, 2, 1), H_k)
+        gwc[:, :2] = d_wif.sum(axis=(0, 2))
+        gwc[:, 2] = (dA_m[..., 3 * H :] * C[own]).sum(axis=(0, 2))
+        gb[:] = dA_k.sum(axis=1)
+    return dA
 
 
 def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -486,57 +473,59 @@ def _loss_backward(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.where((P > LOSS_EPS) & (P < 1.0 - LOSS_EPS), dP, 0.0)
 
 
-def _layer_backward(layers: list[Layer], trace: LayerTrace, dOuts, revs, blocks, input_grad: bool):
-    """Gradients of one stack level of a group: puts each network's flat
-    gradient block first in its list in ``blocks`` and returns each one's
-    dInputs, None unless ``input_grad``, as the first level's are never used."""
+def _layer_backward(layers: list[Layer], grads, trace: LayerTrace, dOuts, revs, input_grad: bool):
+    """Gradients of one stack level of a group: writes network m's through
+    ``grads[m]``, its gradient's layer, and returns each one's dInputs, None
+    unless ``input_grad``, as the first level's are never used."""
     dPs = []
     if layers[0].kind == "mlp":
-        for layer, P, out, dOut, own in zip(layers, trace.inputs, trace.outputs, dOuts, blocks):
+        for layer, grad, P, out, dOut in zip(layers, grads, trace.inputs, trace.outputs, dOuts):
             dA = dOut * (1.0 - out**2)
             T, B, H = dA.shape
             dA2 = dA.reshape(T * B, H)
-            own.insert(0, np.concatenate([(dA2.T @ P.reshape(T * B, -1)).ravel(), dA2.sum(axis=0)]))
+            gW, gb = grad.operands()
+            gW[:] = dA2.T @ P.reshape(T * B, -1)
+            gb[:] = dA2.sum(axis=0)
             dPs.append((dA2 @ layer.operands()[0]).reshape(T, B, -1) if input_grad else None)
         return dPs
     ops = [layer.operands() for layer in layers]
+    outs = [grad.operands() for grad in grads]
     K, H = ops[0][0].shape[0], layers[0].hidden
     dHs = np.zeros(trace.cache["h"].shape)
     for m, (dOut, rev) in enumerate(zip(dOuts, revs)):
         for k in range(K):
             dHs[: len(rev), m * K + k] = _oriented(dOut[..., k * H : (k + 1) * H], rev, k)
     Wh, wc = (np.concatenate([o[j] for o in ops]) for j in (1, 2))
-    dA, grad = _scan_backward(trace.cache, Wh, wc, dHs)
-    for m, ((Wx, *_), P, rev, own) in enumerate(zip(ops, trace.inputs, revs, blocks)):
+    dA = _scan_backward(trace.cache, Wh, wc, dHs, outs)
+    for m, ((Wx, *_), (gWx, *_), P, rev) in enumerate(zip(ops, outs, trace.inputs, revs)):
         T, B, D = P.shape
         own_dA = [_oriented(dA[:T, m * K + k], rev, k) for k in range(K)]
         dA_in = np.stack([a.reshape(T * B, 4 * H) for a in own_dA])
-        dWx = np.matmul(dA_in.transpose(0, 2, 1), P.reshape(T * B, D))
+        gWx[:] = np.matmul(dA_in.transpose(0, 2, 1), P.reshape(T * B, D))
         dPs.append(np.matmul(dA_in, Wx).sum(axis=0).reshape(T, B, D) if input_grad else None)
-        block = np.concatenate([dWx.reshape(K, -1), grad[m * K : (m + 1) * K]], axis=1)
-        own.insert(0, block.ravel())
     return dPs
 
 
 def network_backward(trace: ForwardTrace, labels):
     """Each network's exact loss gradients from a group's trace and its one-hot
-    ``labels``: views, keyed like ``net.params``, into one vector (``.flat``)
-    laid out like the network's. Every operand comes from the trace, which
-    holds the networks its forward pass read."""
+    ``labels``, as a ``Network`` of its spec written through its own views; the
+    buffers start as NaN, so a coordinate left unwritten cannot pass as zero.
+    Every operand comes from the trace, which holds the networks it read."""
     nets = trace.nets
     _check_group(nets, labels)
-    blocks, dHs = [], []
-    for n, P, Y, top in zip(nets, trace.probs, labels, trace.layers[-1].outputs):
+    grads = tuple(Network(n.spec, np.full(n.flat.size, np.nan)) for n in nets)
+    dHs = []
+    for n, g, P, Y, top in zip(nets, grads, trace.probs, labels, trace.layers[-1].outputs):
         dP = _loss_backward(P, _check_one_hot(Y, P.shape))
         # softmax jacobian: dz = p * (dp - <dp, p>)
         dZ = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-        blocks.append([(dZ.T @ top[:, 0]).ravel(), dZ.sum(axis=0)])
+        g.params["out.W"][:] = dZ.T @ top[:, 0]
+        g.params["out.b"][:] = dZ.sum(axis=0)
         dHs.append((dZ @ n.params["out.W"])[:, None])
     for k in range(len(trace.layers) - 1, -1, -1):
-        levels = [n.layers[k] for n in nets]
-        dHs = _layer_backward(levels, trace.layers[k], dHs, trace.rev, blocks, k > 0)
-    # each network's blocks are released as soon as they are joined
-    return tuple(ParamViews(n.spec, np.concatenate(blocks.pop(0))) for n in nets)
+        levels = ([n.layers[k] for n in nets], [g.layers[k] for g in grads])
+        dHs = _layer_backward(*levels, trace.layers[k], dHs, trace.rev, k > 0)
+    return grads
 
 
 def predict_stages(probabilities: np.ndarray) -> np.ndarray:

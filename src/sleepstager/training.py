@@ -24,7 +24,6 @@ from .errors import ConfigError, NumericError
 from .network import (
     NetSpec,
     Network,
-    ParamViews,
     loss,
     network_backward,
     network_forward,
@@ -189,7 +188,7 @@ GRADCHECK_STEP = 1e-3  # the five-point stencil's finite-difference step
 GRADCHECK_INIT_STD = 0.5  # init scale of gradient_check's networks
 
 
-def finite_difference_gradients(net: Network, X: np.ndarray, Y: np.ndarray) -> ParamViews:
+def finite_difference_gradients(net: Network, X: np.ndarray, Y: np.ndarray) -> Network:
     """Five-point central-difference loss gradients, one coordinate at a time."""
 
     def eval_at(j, value) -> float:
@@ -205,7 +204,7 @@ def finite_difference_gradients(net: Network, X: np.ndarray, Y: np.ndarray) -> P
         f1 = eval_at(j, w + h) - eval_at(j, w - h)
         f2 = eval_at(j, w + 2.0 * h) - eval_at(j, w - 2.0 * h)
         fd[j] = (8.0 * f1 - f2) / (12.0 * h)
-    return ParamViews(net.spec, fd)
+    return Network(net.spec, fd)
 
 
 def gradient_check(spec: NetSpec, T: int, seed: int) -> float:

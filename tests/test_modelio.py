@@ -1,7 +1,9 @@
 """Round-trip and corruption tests for the binary model format."""
 
+import dataclasses
 import json
 import os
+import re
 import struct
 import tempfile
 
@@ -239,6 +241,25 @@ def test_non_finite_refused_on_save(tmp_path):
     model.net.params["out.b"][0] = np.nan
     with pytest.raises(DataValidationError):
         save_model(model, str(tmp_path / "m.slpnet"))
+
+
+@pytest.mark.parametrize("part", ["network wider than its z-score", "4 classes over a 5-class head"])
+def test_a_model_load_model_would_refuse_is_not_written(tmp_path, part):
+    model = tiny_model()
+    spec = model.net.spec
+    if part.startswith("network"):
+        wider = NetSpec(spec.input_dim + 1, spec.num_classes, spec.layers)
+        model = dataclasses.replace(model, net=init_params(wider, seed=1))
+        first = (f'array 1 is ["norm.mean", [{spec.input_dim + 1}]], '
+                 f'the sizes fix ["norm.mean", [{spec.input_dim}]]')
+    else:
+        model = dataclasses.replace(model, num_classes=4)
+        i, D = 3 + len(spec.param_shapes()) - 2, spec.last_output_dim
+        first = f'array {i} is ["net.out.W", [5, {D}]], the sizes fix ["net.out.W", [4, {D}]]'
+    path = tmp_path / "m.slpnet"
+    with pytest.raises(DataValidationError, match=re.escape(first)):
+        save_model(model, str(path))
+    assert not path.exists()
 
 
 def test_non_finite_refused_on_load(tmp_path):

@@ -11,7 +11,6 @@ from sleepstager.network import (
     MAX_LAYERS,
     NetSpec,
     Network,
-    ParamViews,
     is_bias,
     loss,
     network_backward,
@@ -274,8 +273,8 @@ class TestBackward:
         Y = np.eye(4)[rng.integers(0, 4, size=6)]
         _, trace = network_forward((net,), (rng.standard_normal((6, 4)),))
         grads = network_backward(trace, (Y,))[0]
-        assert set(grads) == set(net.params)
-        for name, g in grads.items():
+        assert set(grads.params) == set(net.params)
+        for name, g in grads.params.items():
             assert g.shape == net.params[name].shape
             assert np.all(np.isfinite(g))
 
@@ -288,8 +287,8 @@ class TestBackward:
         g1 = network_backward(tr1, (Y,))[0]
         _, tr2 = network_forward((net,), (X,))
         g2 = network_backward(tr2, (Y,))[0]
-        for name in g1:
-            np.testing.assert_array_equal(g1[name], g2[name])
+        for name in g1.params:
+            np.testing.assert_array_equal(g1.params[name], g2.params[name])
 
     def test_small_net_finite_differences(self):
         # independent slow check; the full architecture grid lives in the
@@ -313,7 +312,7 @@ class TestBackward:
                 dn = loss(network_forward((net,), (X,))[0][0], Y)
                 arr[idx] = orig
                 fd = (up - dn) / (2 * step)
-                ga = grads[name][idx]
+                ga = grads.params[name][idx]
                 rel = abs(ga - fd) / max(abs(ga), abs(fd), 1e-8)
                 assert rel < 1e-5, f"{name}{idx}: analytic {ga} vs fd {fd}"
 
@@ -340,9 +339,9 @@ class TestPerGateOracle:
             _, trace = network_forward((net,), (X,))
             grads = network_backward(trace, (Y,))[0]
             expect = network_gradients(net, X, Y)
-            assert list(grads) == list(net.params)
-            assert set(expect) == set(grads)
-            for name, g in grads.items():
+            assert list(grads.params) == list(net.params)
+            assert set(expect) == set(grads.params)
+            for name, g in grads.params.items():
                 scale = max(np.abs(expect[name]).max(), 1e-300)
                 assert np.abs(g - expect[name]).max() <= 1e-12 * scale, name
 
@@ -384,9 +383,9 @@ class TestPerGateOracle:
         net = random_net(NetSpec(input_dim=3, num_classes=4, layers=(("blstm", 2), ("mlp", 3))), 23)
         _, trace = network_forward((net,), (rng.standard_normal((4, 3)),))
         grads = network_backward(trace, (np.eye(4)[[0, 1, 2, 3]],))[0]
-        flat = np.concatenate([g.ravel() for g in grads.values()])
+        flat = np.concatenate([g.ravel() for g in grads.params.values()])
         np.testing.assert_array_equal(grads.flat, flat)
-        assert all(np.shares_memory(g, grads.flat) for g in grads.values())
+        assert all(np.shares_memory(g, grads.flat) for g in grads.params.values())
 
 
 class TestSpecAndParams:
@@ -459,9 +458,29 @@ class TestSpecAndParams:
         np.testing.assert_array_equal(W, net.params["layer1.mlp.W"])
         np.testing.assert_array_equal(b, net.params["layer1.mlp.b"])
 
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            (("mlp", 3), ("mlp", 4)),
+            (("lstm", 3), ("lstm", 2)),
+            (("blstm", 2), ("mlp", 3), ("lstm", 4)),
+        ],
+        ids=["mlp", "lstm", "blstm-mlp-lstm"],
+    )
+    def test_operand_views_tile_the_flat_vector(self, layers):
+        # backward writes every gradient through these views: each coordinate
+        # must be covered exactly once (0 is a gap, 2 an overlap)
+        net = Network.zeros(NetSpec(input_dim=5, num_classes=4, layers=layers))
+        for layer in net.layers:
+            for operand in layer.operands():
+                operand += 1.0
+        net.params["out.W"] += 1.0
+        net.params["out.b"] += 1.0
+        np.testing.assert_array_equal(net.flat, np.ones(net.flat.size))
+
     def test_weight_mask_excludes_biases(self):
         spec = NetSpec(input_dim=3, num_classes=5, layers=(("lstm", 2), ("mlp", 4)))
-        for name, mask in ParamViews(spec, Network.zeros(spec).weight_mask()).items():
+        for name, mask in Network(spec, Network.zeros(spec).weight_mask()).params.items():
             assert np.all(mask != is_bias(name)), name
 
     def test_clone_is_disjoint(self):

@@ -5,7 +5,6 @@ import sleepstager.network as network_mod
 from sleepstager.network import (
     NetSpec,
     Network,
-    ParamViews,
     loss,
     network_backward,
     network_forward,
@@ -42,7 +41,7 @@ def two_point_gradients(net, X, Y, step):
             ends.append(loss(network_forward((net,), (X,))[0][0], Y))
         net.flat[j] = w
         fd[j] = (ends[0] - ends[1]) / (2.0 * step)
-    return ParamViews(net.spec, fd)
+    return Network(net.spec, fd)
 
 
 def snapshot(net):
@@ -132,11 +131,12 @@ class TestGradientCheck:
         # backward pass; the checker must see it
         orig = network_mod._scan_backward
 
-        def sabotaged(cache, Wh, wc, dHs):
-            dA, grad = orig(cache, Wh, wc, dHs)
+        def sabotaged(cache, Wh, wc, dHs, outs):
+            dA = orig(cache, Wh, wc, dHs, outs)
             H = Wh.shape[2]
-            grad[:, H * H : 2 * H * H] *= -1.0
-            return dA, grad
+            for _, gWh, _, _ in outs:
+                gWh[:, H : 2 * H] *= -1.0
+            return dA
 
         monkeypatch.setattr(network_mod, "_scan_backward", sabotaged)
         spec = NetSpec(input_dim=5, num_classes=5, layers=(("lstm", 4),))
@@ -150,8 +150,8 @@ class TestGradientCheck:
         Y = np.eye(4)[rng.integers(0, 4, size=5)]
         fd2 = two_point_gradients(net, X, Y, step=1e-5)
         fd4 = finite_difference_gradients(net, X, Y)
-        for name in fd2:
-            np.testing.assert_allclose(fd2[name], fd4[name], atol=1e-7)
+        for name in fd2.params:
+            np.testing.assert_allclose(fd2.params[name], fd4.params[name], atol=1e-7)
 
     def test_value_is_pinned(self):
         # the exact bits of `sleepstager gradcheck` at its defaults
@@ -228,7 +228,7 @@ class TestTrain:
                 _, trace = network_forward((manual,), (X,))
                 grads = network_backward(trace, (Y,))[0]
                 for name, arr in manual.params.items():
-                    arr -= 0.05 * grads[name]
+                    arr -= 0.05 * grads.params[name]
             tl = mean_loss((manual,), (seqs[:3],))[0]
             vl = mean_loss((manual,), ([seqs[3]],))[0]
             manual_hist.append((tl, vl))
