@@ -64,7 +64,7 @@ def _cfg(args) -> RunConfig:
 def cmd_validate(args) -> int:
     recs = load_cohort(args.data)
     for rec in recs:
-        counts = Counter(s.value for s in rec.labels)
+        counts = Counter(rec.labels)
         hist = " ".join(f"{k}:{counts[k]}" for k in sorted(counts))
         print(
             f"{rec.subject_id}: {rec.num_epochs} epochs, "

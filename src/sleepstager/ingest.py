@@ -3,15 +3,17 @@
 One recording is a night of data for a single subject: timestamped heart
 rate samples (beats/minute, irregular since the band emits one sample per
 detected beat), triaxial wrist actigraphy (nominally 32 Hz, unit g), and one
-sleep stage label per 30 s epoch. This module owns the on-disk CSV formats,
-the report CSVs' cells (``write_csv``) and the recording files:
+sleep stage label per 30 s epoch. A label is the stage's name from the
+labels file, one of STAGES, whose order is the class order. This module
+owns the on-disk CSV formats, the report CSVs' cells (``write_csv``) and
+the recording files:
 
     heart rate:  header ``t_seconds,bpm``
     actigraphy:  header ``t_seconds,x_g,y_g,z_g``
-    labels:      header ``epoch_index,stage`` with stage in
-                 {W, N1, N2, N3, REM}, or the multi-scorer form
-                 ``epoch_index,stage_1,...,stage_s`` which is reduced to a
-                 consensus by plurality vote with previous-epoch tie-break.
+    labels:      header ``epoch_index,stage`` with stage in STAGES, or the
+                 multi-scorer form ``epoch_index,stage_1,...,stage_s``
+                 which is reduced to a consensus by plurality vote with
+                 previous-epoch tie-break.
 
 All operations are pure; a Recording is immutable after construction.
 """
@@ -24,7 +26,6 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -40,28 +41,18 @@ HR_HEADER = ["t_seconds", "bpm"]
 ACT_HEADER = ["t_seconds", "x_g", "y_g", "z_g"]
 
 
-class SleepStage(Enum):
-    """The five canonical scoring stages."""
-
-    W = "W"
-    N1 = "N1"
-    N2 = "N2"
-    N3 = "N3"
-    REM = "REM"
-
-
-STAGE_ORDER = (SleepStage.W, SleepStage.N1, SleepStage.N2, SleepStage.N3, SleepStage.REM)
-_STAGE_BY_NAME = {s.value: s for s in STAGE_ORDER}
+# The five scoring stages by name, in class index order.
+STAGES = ("W", "N1", "N2", "N3", "REM")
 
 # The label spaces: num_classes -> (class names in index order, stage ->
 # class index). The 4-class space fuses W and N1.
 _CLASS_SPACES = {
-    5: (tuple(s.value for s in STAGE_ORDER), dict(zip(STAGE_ORDER, range(5)))),
-    4: (("W+N1", "N2", "N3", "REM"), dict(zip(STAGE_ORDER, (0, 0, 1, 2, 3)))),
+    5: (STAGES, dict(zip(STAGES, range(5)))),
+    4: (("W+N1", "N2", "N3", "REM"), dict(zip(STAGES, (0, 0, 1, 2, 3)))),
 }
 
 
-def _class_space(num_classes: int) -> tuple[tuple[str, ...], dict[SleepStage, int]]:
+def _class_space(num_classes: int) -> tuple[tuple[str, ...], dict[str, int]]:
     if num_classes not in _CLASS_SPACES:
         raise ValueError(f"num_classes must be 4 or 5, got {num_classes}")
     return _CLASS_SPACES[num_classes]
@@ -98,15 +89,16 @@ class ActigraphySeries:
 class Recording:
     """One subject's validated night: signals plus one label per epoch.
 
-    Signals are truncated to the label span at load time; construction
-    rejects anything that does not reach the final epoch. Treat instances
-    as immutable.
+    ``labels`` holds each epoch's stage name from STAGES, as the labels
+    file spells it. Signals are truncated to the label span at load time;
+    construction rejects anything that does not reach the final epoch.
+    Treat instances as immutable.
     """
 
     subject_id: str
     hr: HeartRateSeries
     act: ActigraphySeries
-    labels: tuple[SleepStage, ...]
+    labels: tuple[str, ...]
 
     @property
     def num_epochs(self) -> int:
@@ -165,7 +157,7 @@ def impute_empty_rr(epochs: list[np.ndarray]) -> list[np.ndarray]:
     ]
 
 
-def merge_scorer_labels(hypnograms: list[list[SleepStage]]) -> list[SleepStage]:
+def merge_scorer_labels(hypnograms: list[list[str]]) -> list[str]:
     """Reduce several scorers' hypnograms to a single consensus sequence.
 
     Each epoch takes the stage with strictly the most votes. When several
@@ -181,18 +173,18 @@ def merge_scorer_labels(hypnograms: list[list[SleepStage]]) -> list[SleepStage]:
             raise DataValidationError(
                 f"hypnogram lengths differ: {len(h)} vs {length}"
             )
-    consensus: list[SleepStage] = []
+    consensus: list[str] = []
     for t in range(length):
         votes = [h[t] for h in hypnograms]
-        counts: dict[SleepStage, int] = {}
+        counts: dict[str, int] = {}
         for v in votes:
             counts[v] = counts.get(v, 0) + 1
         top = max(counts.values())
-        winners = [s for s in STAGE_ORDER if counts.get(s, 0) == top]
+        winners = [s for s in STAGES if counts.get(s, 0) == top]
         if len(winners) == 1:
             consensus.append(winners[0])
         elif t == 0:
-            consensus.append(SleepStage.W)
+            consensus.append("W")
         else:
             consensus.append(consensus[t - 1])
     return consensus
@@ -276,44 +268,40 @@ def load_actigraphy_csv(path: str) -> ActigraphySeries:
     return ActigraphySeries(t=table[:, 0], xyz=table[:, 1:])
 
 
-def load_labels_csv(path: str) -> list[SleepStage]:
-    """Parse a label CSV, merging multi-scorer columns when present.
+def load_labels_csv(path: str) -> list[str]:
+    """Parse a label CSV into its scorers' consensus (one scorer's is its own).
 
     Indices must be contiguous from 0. The single-scorer header is
     ``epoch_index,stage``; multi-scorer files carry one column per scorer.
+    A refused row is a data error naming its file line.
     """
     with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2 or header[0].strip() != "epoch_index":
             raise DataValidationError(f"{path}: expected header 'epoch_index,stage[,...]'")
-        n_scorers = len(header) - 1
-        rows = []
+        hypnograms: list[list[str]] = [[] for _ in header[1:]]
         for row in reader:
             if not row:
                 continue
-            if len(row) != n_scorers + 1:
-                raise DataValidationError(f"{path}: bad row {row!r}")
-            rows.append(row)
-    if not rows:
+            at = f"at line {reader.line_num}"
+            if len(row) != len(header):
+                raise DataValidationError(f"{path}: bad row {row!r} {at}")
+            try:
+                idx = int(row[0])
+            except ValueError as exc:
+                raise DataValidationError(f"{path}: bad epoch index {row[0]!r} {at}") from exc
+            if idx != len(hypnograms[0]):
+                raise DataValidationError(
+                    f"{path}: epoch indices must be contiguous from 0, got {idx} {at}"
+                )
+            for hypnogram, cell in zip(hypnograms, row[1:]):
+                name = cell.strip()
+                if name not in STAGES:
+                    raise DataValidationError(f"{path}: unknown stage {name!r} {at}")
+                hypnogram.append(name)
+    if not hypnograms[0]:
         raise DataValidationError(f"{path}: no labels")
-    hypnograms: list[list[SleepStage]] = [[] for _ in range(n_scorers)]
-    for expected_idx, row in enumerate(rows):
-        try:
-            idx = int(row[0])
-        except ValueError as exc:
-            raise DataValidationError(f"{path}: bad epoch index {row[0]!r}") from exc
-        if idx != expected_idx:
-            raise DataValidationError(
-                f"{path}: epoch indices must be contiguous from 0, got {idx} at row {expected_idx}"
-            )
-        for s in range(n_scorers):
-            name = row[s + 1].strip()
-            if name not in _STAGE_BY_NAME:
-                raise DataValidationError(f"{path}: unknown stage {name!r}")
-            hypnograms[s].append(_STAGE_BY_NAME[name])
-    if n_scorers == 1:
-        return hypnograms[0]
     return merge_scorer_labels(hypnograms)
 
 
@@ -436,9 +424,7 @@ def save_recording(rec: Recording, directory: str) -> dict[str, str]:
     }
     _write_table(paths["hr"], HR_HEADER, rec.hr.t, rec.hr.bpm[:, None])
     _write_table(paths["act"], ACT_HEADER, rec.act.t, rec.act.xyz)
-    with open(paths["labels"], "w", newline="") as fh:
-        labels = "".join(f"{k},{s.value}\n" for k, s in enumerate(rec.labels))
-        fh.write("epoch_index,stage\n" + labels)
+    write_csv(paths["labels"], ["epoch_index", "stage"], enumerate(rec.labels))
     return paths
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .ingest import ACTIGRAPHY_RATE_HZ, EPOCH_SECONDS, STAGE_ORDER
+from .ingest import ACTIGRAPHY_RATE_HZ, EPOCH_SECONDS, STAGES
 from .ingest import ActigraphySeries, HeartRateSeries, Recording
 
 # Emission parameters, one entry per stage in W, N1, N2, N3, REM order.
@@ -108,7 +108,7 @@ def _generate_one(cfg: SynthConfig, rng: np.random.Generator, subject_id: str) -
         subject_id=subject_id,
         hr=HeartRateSeries(t=hr_t, bpm=bpm),
         act=ActigraphySeries(t=act_t, xyz=xyz),
-        labels=tuple(STAGE_ORDER[s] for s in stages),
+        labels=tuple(STAGES[s] for s in stages),
     )
 
 

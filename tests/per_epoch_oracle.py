@@ -116,5 +116,5 @@ def row_loop_save_recording(rec: Recording, directory: str) -> dict[str, str]:
     with open(paths["labels"], "w", newline="") as fh:
         fh.write("epoch_index,stage\n")
         for k, s in enumerate(rec.labels):
-            fh.write(f"{k},{s.value}\n")
+            fh.write(f"{k},{s}\n")
     return paths

@@ -16,7 +16,6 @@ from sleepstager.ingest import (
     ActigraphySeries,
     HeartRateSeries,
     Recording,
-    SleepStage,
     epoch_actigraphy,
     epoch_rr,
     impute_empty_rr,
@@ -42,7 +41,7 @@ def build_recording(rr_epochs, act_epochs):
         subject_id="b",
         hr=HeartRateSeries(t=np.concatenate(hr_t), bpm=np.concatenate(bpm)),
         act=ActigraphySeries(t=np.concatenate(act_t), xyz=np.concatenate(act_epochs, axis=0)),
-        labels=(SleepStage.W,) * len(rr_epochs),
+        labels=("W",) * len(rr_epochs),
     )
 
 

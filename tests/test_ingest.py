@@ -9,12 +9,12 @@ from hypothesis.extra.numpy import arrays
 
 from sleepstager.ingest import (
     EPOCH_SECONDS,
+    STAGES,
     WRITE_CHUNK,
     ActigraphySeries,
     DataValidationError,
     HeartRateSeries,
     Recording,
-    SleepStage,
     class_names,
     discover_cohort,
     epoch_actigraphy,
@@ -29,6 +29,7 @@ from sleepstager.ingest import (
     save_recording,
     stages_to_indices,
 )
+from sleepstager.synth import SynthConfig, generate_cohort
 
 from per_epoch_oracle import (
     hr_to_rr,
@@ -38,13 +39,7 @@ from per_epoch_oracle import (
     row_loop_table,
 )
 
-W, N1, N2, N3, REM = (
-    SleepStage.W,
-    SleepStage.N1,
-    SleepStage.N2,
-    SleepStage.N3,
-    SleepStage.REM,
-)
+W, N1, N2, N3, REM = STAGES
 
 
 def make_recording(n_epochs=4, subject_id="s01", seed=0):
@@ -76,9 +71,45 @@ class TestStages:
             class_names(3)
 
     def test_stage_indices_both_modes(self):
-        seq = [W, N1, N2, N3, REM]
-        np.testing.assert_array_equal(stages_to_indices(seq, 5), [0, 1, 2, 3, 4])
-        np.testing.assert_array_equal(stages_to_indices(seq, 4), [0, 0, 1, 2, 3])
+        np.testing.assert_array_equal(stages_to_indices(STAGES, 5), [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(stages_to_indices(STAGES, 4), [0, 0, 1, 2, 3])
+
+
+def assert_stage_names(labels):
+    assert type(labels) is tuple
+    assert all(type(s) is str and s in STAGES for s in labels)
+
+
+class TestStageNames:
+    # every source of a Recording gives its labels as names from STAGES
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("epoch_index,stage\n0, W\n1,N2 \n2,REM\n3,N3\n", ("W", "N2", "REM", "N3")),
+            # ties at epoch 0 (to W) and at epoch 2 (to the previous N1)
+            (
+                "epoch_index,a,b,c\n0,N2,N3,REM\n1,N1,N1,W\n2,N2,N3,REM\n3,REM,REM,N2\n",
+                ("W", "N1", "N1", "REM"),
+            ),
+        ],
+        ids=["1 scorer", "3 scorers"],
+    )
+    def test_load_recording(self, tmp_path, text, expected):
+        paths = save_recording(make_recording(n_epochs=4), str(tmp_path))
+        with open(paths["labels"], "w") as fh:
+            fh.write(text)
+        labels = load_recording(paths["hr"], paths["act"], paths["labels"], "s01").labels
+        assert labels == expected
+        assert_stage_names(labels)
+
+    def test_generate_cohort_and_its_save_load_round_trip(self, tmp_path):
+        rec = generate_cohort(SynthConfig(n_recordings=1, epochs_per_recording=30, seed=2))[0]
+        paths = save_recording(rec, str(tmp_path))
+        loaded = load_recording(paths["hr"], paths["act"], paths["labels"], rec.subject_id)
+        assert loaded.labels == rec.labels
+        assert_stage_names(rec.labels)
+        assert_stage_names(loaded.labels)
 
 
 class TestRrConversion:
@@ -252,6 +283,23 @@ class TestCsvRoundTrip:
         with pytest.raises(DataValidationError):
             load_labels_csv(str(p))
 
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            ("1,N1,N2", "bad row ['1', 'N1', 'N2'] at line 4"),
+            ("x,N1", "bad epoch index 'x' at line 4"),
+            ("1,X", "unknown stage 'X' at line 4"),
+            ("2,N1", "epoch indices must be contiguous from 0, got 2 at line 4"),
+        ],
+    )
+    def test_a_refused_label_row_names_its_file_line(self, tmp_path, refused, message):
+        # the header and the blank line before the refused row count
+        p = tmp_path / "l.csv"
+        p.write_text(f"epoch_index,stage\n0,W\n\n{refused}\n1,N2\n")
+        with pytest.raises(DataValidationError) as got:
+            load_labels_csv(str(p))
+        assert str(got.value) == f"{p}: {message}"
+
 
 HEADERS = {
     "hr": ["t_seconds", "bpm"],
@@ -383,7 +431,7 @@ class TestCsvParsers:
                 arrays(np.float64, (n,), elements=st.floats(allow_nan=False)),
                 arrays(np.float64, (n,), elements=st.floats(allow_nan=False)),
                 arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False)),
-                st.lists(st.sampled_from(list(SleepStage)), min_size=n, max_size=n),
+                st.lists(st.sampled_from(STAGES), min_size=n, max_size=n),
             )
         )
     )
@@ -414,12 +462,11 @@ class TestCsvParsers:
         # so tables of WRITE_CHUNK rows stay cheap to generate
         rng = np.random.default_rng(seed)
         values = rng.choice(np.array(EDGE_VALUES + tuple(drawn)), size=5 * n)
-        stages = list(SleepStage)
         rec = Recording(
             subject_id="r",
             hr=HeartRateSeries(t=values[:n], bpm=values[n : 2 * n]),
             act=ActigraphySeries(t=values[:n][::-1], xyz=values[2 * n :].reshape(n, 3)),
-            labels=tuple(stages[i] for i in rng.integers(len(stages), size=n)),
+            labels=tuple(STAGES[i] for i in rng.integers(len(STAGES), size=n)),
         )
         with tempfile.TemporaryDirectory() as new, tempfile.TemporaryDirectory() as old:
             got, want = save_recording(rec, new), row_loop_save_recording(rec, old)

@@ -90,7 +90,7 @@ class TestGeneratedCohorts:
         order = {s: i for i, s in enumerate(("W", "N1", "N2", "N3", "REM"))}
         for rec in cohort:
             for s in rec.labels:
-                counts[order[s.value]] += 1
+                counts[order[s]] += 1
         freqs = counts / counts.sum()
         target = power_iteration_oracle(cfg.transition)
         np.testing.assert_allclose(target, 0.2, atol=1e-12)  # symmetric default
@@ -115,11 +115,11 @@ class TestGeneratedCohorts:
         for rec in cohort:
             idx = np.floor(rec.hr.t / 30.0).astype(int)
             for k, stage in enumerate(rec.labels):
-                if stage.value not in ("W", "N3"):
+                if stage not in ("W", "N3"):
                     continue
                 mean_hr = rec.hr.bpm[idx == k].mean()
                 predicted = "W" if mean_hr > threshold else "N3"
-                correct += predicted == stage.value
+                correct += predicted == stage
                 total += 1
         assert total > 0
         assert correct / total > 0.9
@@ -142,9 +142,9 @@ class TestGeneratedCohorts:
             idx = np.floor(rec.act.t / 30.0).astype(int)
             for k, stage in enumerate(rec.labels):
                 power = float(np.var(np.diff(rec.act.xyz[idx == k], axis=0)))
-                if stage.value == "W":
+                if stage == "W":
                     wake_power.append(power)
-                elif stage.value == "N3":
+                elif stage == "N3":
                     deep_power.append(power)
         assert np.mean(wake_power) > 3.0 * np.mean(deep_power)
 
@@ -164,7 +164,7 @@ class TestContextOnlyVariant:
         for rec in cohort:
             idx = np.floor(rec.hr.t / 30.0).astype(int)
             for k in range(1, rec.num_epochs):
-                prev = rec.labels[k - 1].value
+                prev = rec.labels[k - 1]
                 mean_hr = rec.hr.bpm[idx == k].mean()
                 if prev == "W":
                     after_w.append(mean_hr)
@@ -180,7 +180,7 @@ class TestContextOnlyVariant:
         for rec in cohort:
             idx = np.floor(rec.hr.t / 30.0).astype(int)
             for k in range(1, rec.num_epochs):
-                by_stage[rec.labels[k].value].append(rec.hr.bpm[idx == k].mean())
+                by_stage[rec.labels[k]].append(rec.hr.bpm[idx == k].mean())
         means = [np.mean(v) for v in by_stage.values()]
         assert np.ptp(means) < 2.0
 
