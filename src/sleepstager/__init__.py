@@ -16,8 +16,7 @@ imports; everything else is imported from its module.
 """
 
 from .evaluate import cross_validate, fit_model
-from .features_low import FrameConfig, recording_low_features
-from .ingest import stages_to_indices
+from .features_low import FrameConfig
 from .modelio import load_model, save_model
 from .synth import SynthConfig, generate_cohort
 from .training import TrainConfig
@@ -32,7 +31,5 @@ __all__ = [
     "fit_model",
     "generate_cohort",
     "load_model",
-    "recording_low_features",
     "save_model",
-    "stages_to_indices",
 ]

@@ -17,7 +17,8 @@ error`` (DataValidationError, or an unreadable file); 3 ``numeric failure``
 (NumericError: non-finite training or features, failed gradient check).
 Running out of memory is a config error: ``config error: out of memory: ...``.
 All outputs are deterministic: running a command twice with the same
-inputs produces byte-identical files.
+inputs produces byte-identical files on one numpy and BLAS build at one
+BLAS thread count.
 """
 
 import argparse
@@ -134,14 +135,9 @@ def cmd_train(args) -> int:
     cfg = _cfg(args)
     recs = load_cohort(args.data)
     train_recs, val_recs = _split_train_val(recs, args, cfg)
-
-    def split(group):
-        lows = [recording_low_features(r, cfg.frame) for r in group]
-        return lows, [stages_to_indices(r.labels, cfg.num_classes) for r in group]
-
     model, history = fit_model(
-        split(train_recs),
-        split(val_recs),
+        train_recs,
+        val_recs,
         cfg.frame,
         cfg.num_words,
         cfg.net_layers(),

@@ -34,6 +34,12 @@ from .training import TrainConfig, init_params, lockstep_size, train
 Split = tuple[list[np.ndarray], list[np.ndarray]]  # (low features, stage indices) per recording
 
 
+def _features_and_labels(recordings, frame: FrameConfig, num_classes: int) -> Split:
+    """The fitter's inputs: each night's low-level features under ``frame``, then its stages."""
+    lows = [recording_low_features(r, frame) for r in recordings]
+    return lows, [stages_to_indices(r.labels, num_classes) for r in recordings]
+
+
 def confusion_matrix(reference: np.ndarray, predicted: np.ndarray, num_classes: int) -> np.ndarray:
     """Counts matrix with reference stages as rows, predictions as columns."""
     ref = np.asarray(reference, dtype=np.int64)
@@ -103,8 +109,8 @@ def _fit_job(train_split, val_split, num_words, net_layers, train_cfg, num_class
 
 
 def fit_model(
-    train_split: Split,
-    val_split: Split,
+    train_recordings: list[Recording],
+    val_recordings: list[Recording],
     frame: FrameConfig,
     num_words: int,
     net_layers: tuple[tuple[str, int], ...],
@@ -112,12 +118,14 @@ def fit_model(
     num_classes: int,
     seeds: tuple[int, int, int],
 ) -> tuple[FittedModel, list[tuple[float, float]]]:
-    """Codebook and z-score fitted on the training split, then a network trained
-    with early stopping on the validation split; ``seeds`` are the k-means,
-    init and SGD seeds. Returns the model and the per-pass (train, val) losses.
-    """
+    """Codebook and z-score fitted on the training nights' features under ``frame``,
+    the frame the model holds, then a network trained with early stopping on the
+    validation nights; ``seeds`` are the k-means, init and SGD seeds. Returns the
+    model and the per-pass (train, val) losses."""
     pipeline, job = _fit_job(
-        train_split, val_split, num_words, net_layers, train_cfg, num_classes, seeds
+        _features_and_labels(train_recordings, frame, num_classes),
+        _features_and_labels(val_recordings, frame, num_classes),
+        num_words, net_layers, train_cfg, num_classes, seeds,
     )
     trained, history = train(*job)
     return FittedModel(frame, num_classes, pipeline, trained), history
@@ -184,8 +192,7 @@ def cross_validate(
     if len(set(ids)) != len(ids):
         raise ValueError("subject ids must be unique")
     by_id = {r.subject_id: i for i, r in enumerate(recordings)}
-    lows = [recording_low_features(r, frame) for r in recordings]
-    labels = [stages_to_indices(r.labels, num_classes) for r in recordings]
+    lows, labels = _features_and_labels(recordings, frame, num_classes)
 
     def split(id_list) -> Split:
         return [lows[by_id[s]] for s in id_list], [labels[by_id[s]] for s in id_list]

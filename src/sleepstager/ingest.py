@@ -20,7 +20,6 @@ All operations are pure; a Recording is immutable after construction.
 
 from __future__ import annotations
 
-import csv
 import os
 import re
 import warnings
@@ -90,9 +89,9 @@ class Recording:
     """One subject's validated night: signals plus one label per epoch.
 
     ``labels`` holds each epoch's stage name from STAGES, as the labels
-    file spells it. Signals are truncated to the label span at load time;
-    construction rejects anything that does not reach the final epoch.
-    Treat instances as immutable.
+    file spells it. The dataclass checks nothing: ``load_recording``
+    truncates the signals to the label span and rejects a signal that does
+    not reach the final epoch. Treat instances as immutable.
     """
 
     subject_id: str
@@ -217,16 +216,15 @@ def _open_csv(path: str):
 def _read_table(path: str, header: list[str], what: str) -> np.ndarray:
     """Parse a numeric CSV with the given header into shape (rows, len(header)).
 
-    numpy parses the file in one call, so its grammar is the format: decimal
+    numpy parses the rows in one call, so its grammar is the format: decimal
     and exponent numbers, ``nan`` and ``inf``, no quotes, ``_`` separators
     or comment lines. Extra columns are ignored and blank lines skipped; a
     row numpy refuses is a data error naming its file line and column.
     """
     width = len(header)
     with _open_csv(path) as fh:
-        first = next(csv.reader(fh), None)
-        if first is None or [c.strip() for c in first] != header:
-            raise DataValidationError(f"{path}: expected header '{','.join(header)}'")
+        if [c.strip() for c in fh.readline().split(",")] != header:
+            raise DataValidationError(f"{path}: expected header '{','.join(header)}' at line 1")
         try:
             with warnings.catch_warnings():
                 # a header-only file is reported below as having no samples
@@ -273,18 +271,20 @@ def load_labels_csv(path: str) -> list[str]:
 
     Indices must be contiguous from 0. The single-scorer header is
     ``epoch_index,stage``; multi-scorer files carry one column per scorer.
-    A refused row is a data error naming its file line.
+    Lines split on every comma, as headers do, so a quoted cell is refused. A
+    refused header or row is a data error naming its file line.
     """
     with _open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0].strip() != "epoch_index":
-            raise DataValidationError(f"{path}: expected header 'epoch_index,stage[,...]'")
+        header = fh.readline().split(",")
+        if len(header) < 2 or header[0].strip() != "epoch_index":
+            expected = "epoch_index,stage[,...]"
+            raise DataValidationError(f"{path}: expected header '{expected}' at line 1")
         hypnograms: list[list[str]] = [[] for _ in header[1:]]
-        for row in reader:
-            if not row:
+        for line_num, line in enumerate(fh, 2):
+            row = line.rstrip("\r\n").split(",")
+            if row == [""]:
                 continue
-            at = f"at line {reader.line_num}"
+            at = f"at line {line_num}"
             if len(row) != len(header):
                 raise DataValidationError(f"{path}: bad row {row!r} {at}")
             try:

@@ -85,8 +85,8 @@ class NetSpec:
     """
 
     input_dim: int
-    num_classes: int = 5
-    layers: tuple[tuple[str, int], ...] = (("blstm", 400),)
+    num_classes: int
+    layers: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         if self.input_dim < 1:

@@ -84,7 +84,7 @@ def row_loop_table(path: str, header: list[str], what: str) -> np.ndarray:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None or [c.strip() for c in first] != header:
-            raise DataValidationError(f"{path}: expected header '{','.join(header)}'")
+            raise DataValidationError(f"{path}: expected header '{','.join(header)}' at line 1")
         for row in reader:
             if not row:
                 continue

@@ -17,7 +17,7 @@ from sleepstager import cli, evaluate
 from sleepstager.config import KEYS, load_config
 from sleepstager.evaluate import fit_model
 from sleepstager.features_low import FrameConfig, recording_low_features
-from sleepstager.ingest import load_cohort, stages_to_indices
+from sleepstager.ingest import load_cohort
 from sleepstager.modelio import load_model, save_model
 from sleepstager.training import TrainConfig
 from test_ingest import CSV_CASES, write_case
@@ -125,17 +125,11 @@ def test_train_outputs_are_deterministic(cohort_dir, tmp_path):
 def test_train_model_is_the_fit_model_recipe(cohort_dir, tmp_path):
     model_path = str(tmp_path / "model.bin")
     assert cli.main(["train", cohort_dir, model_path, "--set", "seed=4"] + FAST) == 0
-    frame = FrameConfig(frame_epochs=4)
     recs = load_cohort(cohort_dir)
-
-    def split(group):
-        lows = [recording_low_features(r, frame) for r in group]
-        return lows, [stages_to_indices(r.labels, 5) for r in group]
-
     model, _ = fit_model(
-        split(recs[:-1]),
-        split(recs[-1:]),
-        frame,
+        recs[:-1],
+        recs[-1:],
+        FrameConfig(frame_epochs=4),
         num_words=8,
         net_layers=(("blstm", 5),),
         train_cfg=TrainConfig(learning_rate=0.05, max_passes=1),

@@ -4,11 +4,15 @@ import pytest
 from sleepstager.evaluate import (
     confusion_matrix,
     cross_validate,
+    fit_model,
     kfold_split,
     per_class_metrics,
     weighted_metrics,
 )
-from sleepstager.features_low import FrameConfig
+from sleepstager.features_low import FrameConfig, recording_low_features
+from sleepstager.modelio import load_model, save_model
+from sleepstager.pipeline import fit_pipeline
+from sleepstager.synth import SynthConfig, generate_cohort
 from sleepstager.training import TrainConfig
 
 
@@ -125,3 +129,24 @@ class TestKfold:
         # with k=2 the test and validation folds take every subject
         with pytest.raises(ValueError, match="a test, a validation and a training fold"):
             cross_validate([], FrameConfig(), 8, (("mlp", 4),), TrainConfig(), k=2)
+
+
+def test_a_model_keeps_the_frame_its_codebook_was_fitted_under(tmp_path):
+    # both frames are 220 features wide, so only the stored frame tells them apart
+    recs = generate_cohort(SynthConfig(n_recordings=3, epochs_per_recording=24, seed=5))
+    frame = FrameConfig(freq_components=6, cepstrum_components=20)
+    assert frame.dim == FrameConfig().dim
+    model, _ = fit_model(
+        recs[:-1], recs[-1:], frame, 8, (("mlp", 4),), TrainConfig(max_passes=1), 5, (1, 2, 3)
+    )
+    path = str(tmp_path / "model.bin")
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.frame == frame
+
+    def centres(under):
+        lows = [recording_low_features(r, under) for r in recs[:-1]]
+        return fit_pipeline(lows, 8, seed=1).dictionary.centers
+
+    assert loaded.pipeline.dictionary.centers.tobytes() == centres(frame).tobytes()
+    assert not np.array_equal(loaded.pipeline.dictionary.centers, centres(FrameConfig()))

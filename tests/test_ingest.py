@@ -289,6 +289,7 @@ class TestCsvRoundTrip:
             ("1,N1,N2", "bad row ['1', 'N1', 'N2'] at line 4"),
             ("x,N1", "bad epoch index 'x' at line 4"),
             ("1,X", "unknown stage 'X' at line 4"),
+            ('1,"N1"', """unknown stage '"N1"' at line 4"""),
             ("2,N1", "epoch indices must be contiguous from 0, got 2 at line 4"),
         ],
     )
@@ -306,7 +307,8 @@ HEADERS = {
     "act": ["t_seconds", "x_g", "y_g", "z_g"],
 }
 ROWS = {"hr": ("0.0,61.5", "1.0,62.25"), "act": ("0.0,0.1,-0.2,1.0", "0.03125,0.5,1e-3,-0.0")}
-# file bodies around two valid rows r0, r1; "f" and "rest" split r0 at its first comma
+# file bodies around two valid rows r0, r1; "f" and "rest" split r0 at its first
+# comma, "hf" and "hrest" the header h at its first comma
 CSV_CASES = {
     "comment_line": "{h}\n{r0}\n# comment\n{r1}\n",
     "whitespace_line": "{h}\n{r0}\n   \n{r1}\n",
@@ -314,6 +316,7 @@ CSV_CASES = {
     "extra_text_column": "{h}\n{r0},9.5\n{r1},x\n",
     "underscore_digits": "{h}\n6_0.0,{rest}\n{r1}\n",
     "quoted_field": '{h}\n"{f}",{rest}\n{r1}\n',
+    "quoted_header": '"{hf}",{hrest}\n{r0}\n{r1}\n',
     "header_only": "{h}\n",
     "crlf": "{h}\r\n{r0}\r\n{r1}\r\n",
     "blank_line": "{h}\n{r0}\n\n{r1}\n",
@@ -342,15 +345,16 @@ EDGE_VALUES = (
 )
 
 
-# Rows numpy refuses, with the file line and column the message names. The
-# row loop's ``float`` accepts the last two: quotes and ``_`` digit
-# separators are outside the one grammar.
+# Rows numpy refuses, with the file line and column the message names, and a
+# quoted header name. The row loop accepts the last three: quotes and ``_``
+# digit separators are outside the one grammar.
 REFUSED_AT = {
     "comment_line": "could not convert string '# comment' to float64 at line 3, column 1.",
     "whitespace_line": "could not convert string '   ' to float64 at line 3, column 1.",
     "short_row": "invalid column index 1 at line 3 with 1 columns",
     "quoted_field": """could not convert string '"0.0"' to float64 at line 2, column 1.""",
     "underscore_digits": "could not convert string '6_0.0' to float64 at line 2, column 1.",
+    "quoted_header": "expected header '{h}' at line 1",
 }
 
 
@@ -358,7 +362,9 @@ def write_case(directory, kind, case) -> str:
     """CSV_CASES[case] around the ROWS of ``kind``, written as ``<directory>/<kind>.csv``."""
     r0, r1 = ROWS[kind]
     f, rest = r0.split(",", 1)
-    body = CSV_CASES[case].format(h=",".join(HEADERS[kind]), r0=r0, r1=r1, f=f, rest=rest)
+    h = ",".join(HEADERS[kind])
+    hf, hrest = h.split(",", 1)
+    body = CSV_CASES[case].format(h=h, hf=hf, hrest=hrest, r0=r0, r1=r1, f=f, rest=rest)
     path = os.path.join(directory, f"{kind}.csv")
     with open(path, "w", newline="") as fh:
         fh.write(body)
@@ -378,7 +384,8 @@ class TestCsvParsers:
         if case in REFUSED_AT:
             with pytest.raises(DataValidationError) as got:
                 _load_table(kind, path)
-            assert str(got.value) == f"{path}: {REFUSED_AT[case]}"
+            refused = REFUSED_AT[case].format(h=",".join(HEADERS[kind]))
+            assert str(got.value) == f"{path}: {refused}"
             return
         try:
             expect = row_loop_table(path, HEADERS[kind], what)

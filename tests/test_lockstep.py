@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sleepstager import evaluate, network, training
 from sleepstager.errors import NumericError
 from sleepstager.evaluate import cross_validate, fit_model, kfold_split
-from sleepstager.features_low import FrameConfig, recording_low_features
+from sleepstager.features_low import FrameConfig
 from sleepstager.ingest import stages_to_indices
 from sleepstager.network import NetSpec, network_backward, network_forward, network_probs
 from sleepstager.synth import SynthConfig, generate_cohort
@@ -274,11 +274,8 @@ def test_cross_validation_folds_equal_fits_made_alone():
 
     by_id = {r.subject_id: r for r in recs}
 
-    def split(ids):
-        chosen = [by_id[s] for s in ids]
-        return [recording_low_features(r, frame) for r in chosen], [
-            stages_to_indices(r.labels, 4) for r in chosen
-        ]
+    def chosen(ids):
+        return [by_id[s] for s in ids]
 
     for fold in report.folds:
         f = fold.fold_index
@@ -286,14 +283,14 @@ def test_cross_validation_folds_equal_fits_made_alone():
         seeds = np.random.SeedSequence(8, spawn_key=(0, f)).generate_state(3)
         fit_seeds = tuple(int(s) for s in seeds)
         model, history = fit_model(
-            split(train_ids), split(folds[(f + 1) % 5]), frame, 6, layers, cfg, 4, fit_seeds
+            chosen(train_ids), chosen(folds[(f + 1) % 5]), frame, 6, layers, cfg, 4, fit_seeds
         )
         assert fold.passes_run == len(history)
-        test_lows, refs = split(folds[f])
-        features = [model.pipeline.transform(x) for x in test_lows]
+        test_recs = chosen(folds[f])
+        features = [model.features_for(rec) for rec in test_recs]
         probs = [network_forward((model.net,), (X,))[0][0] for X in features]
         preds = [np.argmax(P, axis=1) for P in probs]
-        ref = np.concatenate(refs)
+        ref = np.concatenate([stages_to_indices(r.labels, 4) for r in test_recs])
         cm = np.zeros((4, 4), dtype=np.int64)
         np.add.at(cm, (ref, np.concatenate(preds)), 1)
         np.testing.assert_array_equal(fold.cm, cm)

@@ -228,7 +228,7 @@ class TestNetworkForward:
         np.testing.assert_array_equal(pb, pb_alone)
 
     def test_dimension_mismatch_rejected(self):
-        net = Network.zeros(NetSpec(input_dim=4, num_classes=5))
+        net = Network.zeros(NetSpec(input_dim=4, num_classes=5, layers=(("blstm", 400),)))
         with pytest.raises(ValueError):
             network_forward((net,), (np.zeros((3, 5)),))
 
@@ -422,9 +422,9 @@ class TestSpecAndParams:
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
-            NetSpec(input_dim=0, num_classes=5)
+            NetSpec(input_dim=0, num_classes=5, layers=(("blstm", 400),))
         with pytest.raises(ValueError):
-            NetSpec(input_dim=3, num_classes=3)
+            NetSpec(input_dim=3, num_classes=3, layers=(("blstm", 400),))
         with pytest.raises(ValueError):
             NetSpec(input_dim=3, num_classes=5, layers=(("gru", 4),))
         with pytest.raises(ValueError):

@@ -102,11 +102,12 @@ class TestInit:
         assert abs(flat.std() - 0.1) < 0.005
 
     def test_bad_std_rejected(self):
+        spec = NetSpec(input_dim=2, num_classes=4, layers=(("blstm", 400),))
         with pytest.raises(ValueError):
-            init_params(NetSpec(input_dim=2, num_classes=4), seed=0, init_std=0.0)
+            init_params(spec, seed=0, init_std=0.0)
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="init_std must be finite"):
-                init_params(NetSpec(input_dim=2, num_classes=4), seed=0, init_std=value)
+                init_params(spec, seed=0, init_std=value)
 
 
 class TestGradientCheck:
@@ -159,7 +160,7 @@ class TestGradientCheck:
         assert gradient_check(spec, T=12, seed=0) == 1.3062065116278967e-07
 
     def test_invalid_args(self):
-        spec = NetSpec(input_dim=3, num_classes=4)
+        spec = NetSpec(input_dim=3, num_classes=4, layers=(("blstm", 400),))
         with pytest.raises(ValueError):
             gradient_check(spec, T=0, seed=0)
 
@@ -287,7 +288,7 @@ class TestTrain:
         assert len(history) <= 10
 
     def test_empty_split_rejected(self):
-        spec = NetSpec(input_dim=2, num_classes=4)
+        spec = NetSpec(input_dim=2, num_classes=4, layers=(("blstm", 400),))
         net = init_params(spec, seed=0)
         with pytest.raises(ValueError):
             train(net, [], [(np.zeros((2, 2)), np.eye(4)[[0, 1]])], TrainConfig())
