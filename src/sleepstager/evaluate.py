@@ -165,10 +165,10 @@ def cross_validate(
     num_words: int,
     net_layers: tuple[tuple[str, int], ...],
     train_cfg: TrainConfig,
-    k: int = 8,
-    rounds: int = 3,
-    seed: int = 0,
-    num_classes: int = 5,
+    k: int,
+    rounds: int,
+    seed: int,
+    num_classes: int,
 ) -> CvReport:
     """Subject-independent k-fold CV over several rounds.
 

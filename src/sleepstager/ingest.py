@@ -6,7 +6,8 @@ detected beat), triaxial wrist actigraphy (nominally 32 Hz, unit g), and one
 sleep stage label per 30 s epoch. A label is the stage's name from the
 labels file, one of STAGES, whose order is the class order. This module
 owns the on-disk CSV formats, the report CSVs' cells (``write_csv``) and
-the recording files:
+the recording files. A night is a directory and a subject id, whose files
+``night_paths`` names ``<id>_hr.csv``, ``<id>_act.csv``, ``<id>_labels.csv``:
 
     heart rate:  header ``t_seconds,bpm``
     actigraphy:  header ``t_seconds,x_g,y_g,z_g``
@@ -305,13 +306,17 @@ def load_labels_csv(path: str) -> list[str]:
     return merge_scorer_labels(hypnograms)
 
 
-def load_recording(
-    hr_path: str,
-    act_path: str,
-    label_path: str,
-    subject_id: str,
-) -> Recording:
-    """Load and validate one recording from its three CSV files.
+# A night's files, ``<id>_<kind>.csv``, by kind and what each holds, in the order checked.
+_NIGHT_FILES = {"hr": "heart rate", "act": "actigraphy", "labels": "labels"}
+
+
+def night_paths(directory: str, subject_id: str) -> dict[str, str]:
+    """The paths of a night's heart rate, actigraphy and labels files, by kind."""
+    return {kind: os.path.join(directory, f"{subject_id}_{kind}.csv") for kind in _NIGHT_FILES}
+
+
+def load_recording(directory: str, subject_id: str) -> Recording:
+    """Load and validate one night, the three files ``night_paths`` names.
 
     Signals are truncated to the label span; a signal whose last sample does
     not reach the final epoch is rejected as too short. Heart rate must be
@@ -320,10 +325,12 @@ def load_recording(
     actigraphy samples, and the actigraphy's mean sample rate must sit
     within 5% of ACTIGRAPHY_RATE_HZ.
     """
-    for p, what in ((hr_path, "heart rate"), (act_path, "actigraphy"), (label_path, "labels")):
-        if not os.path.exists(p):
-            raise DataValidationError(f"missing {what} file: {p}")
-    labels = load_labels_csv(label_path)
+    paths = night_paths(directory, subject_id)
+    for kind, what in _NIGHT_FILES.items():
+        if not os.path.exists(paths[kind]):
+            raise DataValidationError(f"missing {what} file: {paths[kind]}")
+    hr_path, act_path = paths["hr"], paths["act"]
+    labels = load_labels_csv(paths["labels"])
     hr = load_heart_rate_csv(hr_path)
     act = load_actigraphy_csv(act_path)
 
@@ -411,17 +418,13 @@ def _write_table(path: str, header: list[str], t: np.ndarray, values: np.ndarray
 
 
 def save_recording(rec: Recording, directory: str) -> dict[str, str]:
-    """Write a recording to ``<subject>_hr/act/labels.csv``; returns the paths.
+    """Write a recording to its ``night_paths`` in ``directory``; returns them.
 
     Floats are written in round-trip form so a load reproduces the arrays
     bit for bit.
     """
     os.makedirs(directory, exist_ok=True)
-    paths = {
-        "hr": os.path.join(directory, f"{rec.subject_id}_hr.csv"),
-        "act": os.path.join(directory, f"{rec.subject_id}_act.csv"),
-        "labels": os.path.join(directory, f"{rec.subject_id}_labels.csv"),
-    }
+    paths = night_paths(directory, rec.subject_id)
     _write_table(paths["hr"], HR_HEADER, rec.hr.t, rec.hr.bpm[:, None])
     _write_table(paths["act"], ACT_HEADER, rec.act.t, rec.act.xyz)
     write_csv(paths["labels"], ["epoch_index", "stage"], enumerate(rec.labels))
@@ -429,27 +432,21 @@ def save_recording(rec: Recording, directory: str) -> dict[str, str]:
 
 
 def discover_cohort(directory: str) -> list[str]:
-    """Subject ids found in a cohort directory (files named ``<id>_hr.csv``)."""
-    ids = []
-    for name in sorted(os.listdir(directory)):
-        if name.endswith("_hr.csv"):
-            ids.append(name[: -len("_hr.csv")])
+    """Ids of the nights in a cohort directory, each found by any of its
+    ``night_paths`` files, in the order of their heart-rate file names. An id
+    a report CSV's cell cannot hold, one with a comma or line break, is refused."""
+    ends = night_paths("", "").values()  # "_hr.csv", "_act.csv", "_labels.csv"
+    found = {name[: -len(e)] for name in os.listdir(directory) for e in ends if name.endswith(e)}
+    ids = sorted(found, key=lambda sid: night_paths("", sid)["hr"])
+    for sid in ids:
+        if any(c in sid for c in ",\r\n"):
+            raise DataValidationError(f"{directory}: subject id {sid!r} has a comma or line break")
     return ids
 
 
 def load_cohort(directory: str) -> list[Recording]:
-    """Load every recording in a cohort directory, sorted by subject id."""
+    """Load every night in a cohort directory, in ``discover_cohort``'s order."""
     ids = discover_cohort(directory)
     if not ids:
         raise DataValidationError(f"no recordings found in {directory}")
-    recs = []
-    for sid in ids:
-        recs.append(
-            load_recording(
-                os.path.join(directory, f"{sid}_hr.csv"),
-                os.path.join(directory, f"{sid}_act.csv"),
-                os.path.join(directory, f"{sid}_labels.csv"),
-                subject_id=sid,
-            )
-        )
-    return recs
+    return [load_recording(directory, sid) for sid in ids]

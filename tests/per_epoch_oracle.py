@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from sleepstager.features_low import FrameConfig
-from sleepstager.ingest import DataValidationError, Recording, _fmt, impute_empty_rr
+from sleepstager.ingest import EPOCH_SECONDS, DataValidationError, Recording, _fmt, impute_empty_rr
 from sleepstager.transforms import dct2, real_cepstrum
 
 
@@ -25,12 +25,12 @@ def hr_to_rr(hr: float) -> float:
 
 def mask_epoch_rr(rec: Recording) -> list[np.ndarray]:
     rr = np.array([hr_to_rr(hr) for hr in rec.hr.bpm.tolist()])
-    idx = np.floor(rec.hr.t / rec.epoch_seconds).astype(np.int64)
+    idx = np.floor(rec.hr.t / EPOCH_SECONDS).astype(np.int64)
     return [rr[idx == k] for k in range(rec.num_epochs)]
 
 
 def mask_epoch_actigraphy(rec: Recording) -> list[np.ndarray]:
-    idx = np.floor(rec.act.t / rec.epoch_seconds).astype(np.int64)
+    idx = np.floor(rec.act.t / EPOCH_SECONDS).astype(np.int64)
     return [rec.act.xyz[idx == k] for k in range(rec.num_epochs)]
 
 

@@ -244,6 +244,7 @@ def test_criterion_06_no_test_data_in_fitted_state():
             k=8,
             rounds=1,
             seed=seed,
+            num_classes=5,
         )
 
     base = run(recs)
@@ -303,6 +304,7 @@ def test_criterion_08_recurrent_beats_frame_reader():
             k=8,
             rounds=1,
             seed=CTX_SEED,
+            num_classes=5,
         )
 
     blstm = run("blstm").f1

@@ -327,6 +327,35 @@ def test_data_errors_exit_2(tmp_path):
     assert cli.main(["validate", str(tmp_path / "missing")]) == 2
 
 
+@pytest.mark.parametrize("kind, what", [("hr", "heart rate"), ("act", "actigraphy"), ("labels", "labels")])
+def test_a_night_missing_a_file_exits_2_naming_it(tmp_path, capsys, kind, what):
+    # without its heart-rate file a night was not found: "ok: 2 recording(s)"
+    data = str(tmp_path / "data")
+    assert cli.main(["synth", data, "--recordings", "3", "--epochs", "4"]) == 0
+    path = os.path.join(data, f"s01_{kind}.csv")
+    os.remove(path)
+    capsys.readouterr()
+    assert cli.main(["validate", data]) == 2
+    assert capsys.readouterr().err == f"data error: missing {what} file: {path}\n"
+
+
+@pytest.mark.parametrize("sid", ["a,b", "a\nb", "a\rb"])
+def test_a_subject_id_a_report_cell_cannot_hold_exits_2(cohort_dir, tmp_path, capsys, sid):
+    # "a,b" gave eval --out a row of six cells under its five-column header
+    data = str(tmp_path / "data")
+    shutil.copytree(cohort_dir, data)
+    for kind in ("hr", "act", "labels"):
+        os.replace(os.path.join(data, f"s01_{kind}.csv"), os.path.join(data, f"{sid}_{kind}.csv"))
+    model, out = str(tmp_path / "model.bin"), str(tmp_path / "scores.csv")
+    assert cli.main(["train", cohort_dir, model] + FAST) == 0
+    capsys.readouterr()
+    expect = f"data error: {data}: subject id {sid!r} has a comma or line break\n"
+    for argv in (["validate", data], ["eval", model, data, "--out", out]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == expect
+    assert not os.path.exists(out)
+
+
 def test_sparse_actigraphy_epoch_exits_2_in_every_command(cohort_dir, tmp_path, capsys):
     # a 2 h night with the 30 s of actigraphy of epoch 100 deleted
     night = str(tmp_path / "night")

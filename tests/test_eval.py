@@ -128,7 +128,9 @@ class TestKfold:
     def test_cross_validate_needs_three_folds(self):
         # with k=2 the test and validation folds take every subject
         with pytest.raises(ValueError, match="a test, a validation and a training fold"):
-            cross_validate([], FrameConfig(), 8, (("mlp", 4),), TrainConfig(), k=2)
+            cross_validate(
+                [], FrameConfig(), 8, (("mlp", 4),), TrainConfig(), k=2, rounds=3, seed=0, num_classes=5
+            )
 
 
 def test_a_model_keeps_the_frame_its_codebook_was_fitted_under(tmp_path):

@@ -186,7 +186,7 @@ class TestAssembly:
         t = 6
         base = recording_low_features(rec, cfg)
         xyz = rec.act.xyz.copy()
-        xyz[np.floor(rec.act.t / rec.epoch_seconds) == t + 1] += 5.0
+        xyz[np.floor(rec.act.t / EPOCH_SECONDS) == t + 1] += 5.0
         bumped = Recording(
             subject_id=rec.subject_id,
             hr=rec.hr,
@@ -205,7 +205,7 @@ class TestAssembly:
         idx = set(frame_indices(t, 30, cfg.frame_epochs).tolist())
         base = recording_low_features(rec, cfg)
         for j in (0, 29, 14, 16):
-            in_j = np.floor(rec.hr.t / rec.epoch_seconds) == j
+            in_j = np.floor(rec.hr.t / EPOCH_SECONDS) == j
             bpm = rec.hr.bpm.copy()
             bpm[in_j] = 60.0 / (60.0 / bpm[in_j] + 0.05)
             altered = Recording(

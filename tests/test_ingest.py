@@ -26,6 +26,7 @@ from sleepstager.ingest import (
     load_labels_csv,
     load_recording,
     merge_scorer_labels,
+    night_paths,
     save_recording,
     stages_to_indices,
 )
@@ -99,14 +100,14 @@ class TestStageNames:
         paths = save_recording(make_recording(n_epochs=4), str(tmp_path))
         with open(paths["labels"], "w") as fh:
             fh.write(text)
-        labels = load_recording(paths["hr"], paths["act"], paths["labels"], "s01").labels
+        labels = load_recording(str(tmp_path), "s01").labels
         assert labels == expected
         assert_stage_names(labels)
 
     def test_generate_cohort_and_its_save_load_round_trip(self, tmp_path):
         rec = generate_cohort(SynthConfig(n_recordings=1, epochs_per_recording=30, seed=2))[0]
         paths = save_recording(rec, str(tmp_path))
-        loaded = load_recording(paths["hr"], paths["act"], paths["labels"], rec.subject_id)
+        loaded = load_recording(str(tmp_path), rec.subject_id)
         assert loaded.labels == rec.labels
         assert_stage_names(rec.labels)
         assert_stage_names(loaded.labels)
@@ -235,12 +236,7 @@ class TestCsvRoundTrip:
     def test_bit_exact(self, tmp_path):
         rec = make_recording(n_epochs=3, seed=11)
         save_recording(rec, str(tmp_path))
-        loaded = load_recording(
-            str(tmp_path / "s01_hr.csv"),
-            str(tmp_path / "s01_act.csv"),
-            str(tmp_path / "s01_labels.csv"),
-            subject_id="s01",
-        )
+        loaded = load_recording(str(tmp_path), "s01")
         np.testing.assert_array_equal(loaded.hr.t, rec.hr.t)
         np.testing.assert_array_equal(loaded.hr.bpm, rec.hr.bpm)
         np.testing.assert_array_equal(loaded.act.t, rec.act.t)
@@ -477,6 +473,10 @@ class TestCsvParsers:
         )
         with tempfile.TemporaryDirectory() as new, tempfile.TemporaryDirectory() as old:
             got, want = save_recording(rec, new), row_loop_save_recording(rec, old)
+            # the paths night_paths names, with the oracle's keys, order and file names
+            assert got == night_paths(new, "r")
+            names = [[(k, os.path.relpath(p, d)) for k, p in w.items()] for w, d in ((got, new), (want, old))]
+            assert names[0] == names[1]
             for key in ("hr", "act", "labels"):
                 with open(got[key], "rb") as a, open(want[key], "rb") as b:
                     assert a.read() == b.read(), key
@@ -492,7 +492,7 @@ class TestRecordingValidation:
         # append samples beyond the labelled span; load should drop them
         with open(paths["hr"], "a") as fh:
             fh.write("61.0,65.0\n999.0,70.0\n")
-        loaded = load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+        loaded = load_recording(str(tmp_path), "s01")
         assert loaded.hr.t[-1] < 60.0
         assert loaded.hr.t.size == rec.hr.t.size
 
@@ -507,7 +507,7 @@ class TestRecordingValidation:
         )
         paths = self._paths(tmp_path, short)
         with pytest.raises(DataValidationError) as err:
-            load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+            load_recording(str(tmp_path), "s01")
         assert str(err.value) == f"{paths['hr']}: heart rate signal shorter than label span"
 
     def test_nonpositive_bpm_rejected(self, tmp_path):
@@ -522,7 +522,7 @@ class TestRecordingValidation:
         )
         paths = self._paths(tmp_path, bad)
         with pytest.raises(DataValidationError) as err:
-            load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+            load_recording(str(tmp_path), "s01")
         assert str(err.value) == f"{paths['hr']}: non-positive heart rate sample"
 
     def test_unsorted_times_rejected(self, tmp_path):
@@ -537,7 +537,7 @@ class TestRecordingValidation:
         )
         paths = self._paths(tmp_path, bad)
         with pytest.raises(DataValidationError) as err:
-            load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+            load_recording(str(tmp_path), "s01")
         expect = f"{paths['hr']}: heart rate timestamps are not strictly increasing"
         assert str(err.value) == expect
 
@@ -553,7 +553,7 @@ class TestRecordingValidation:
         )
         paths = self._paths(tmp_path, bad)
         with pytest.raises(DataValidationError) as err:
-            load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+            load_recording(str(tmp_path), "s01")
         assert str(err.value).startswith(f"{paths['act']}: actigraphy rate 24.000 Hz deviates")
 
     def test_sparse_actigraphy_epoch_rejected(self, tmp_path):
@@ -571,14 +571,8 @@ class TestRecordingValidation:
         )
         paths = self._paths(tmp_path, sparse)
         with pytest.raises(DataValidationError) as err:
-            load_recording(paths["hr"], paths["act"], paths["labels"], "s01")
+            load_recording(str(tmp_path), "s01")
         assert str(err.value).startswith(f"{paths['act']}: actigraphy epoch 17 has 2 sample(s);")
-
-    def test_missing_file_rejected(self, tmp_path):
-        rec = make_recording(n_epochs=2)
-        paths = self._paths(tmp_path, rec)
-        with pytest.raises(DataValidationError, match="missing"):
-            load_recording(str(tmp_path / "nope.csv"), paths["act"], paths["labels"], "s01")
 
 
 class TestCohort:
@@ -589,6 +583,13 @@ class TestCohort:
         recs = load_cohort(str(tmp_path))
         assert [r.subject_id for r in recs] == ["a01", "b02"]
         assert all(r.num_epochs == 2 for r in recs)
+
+    def test_ids_come_in_the_order_of_their_heart_rate_file_names(self, tmp_path):
+        # "a_b_hr.csv" sorts before "a_hr.csv", though "a" sorts before "a_b"
+        for sid, seed in (("a", 1), ("a_b", 2)):
+            save_recording(make_recording(n_epochs=2, subject_id=sid, seed=seed), str(tmp_path))
+        assert discover_cohort(str(tmp_path)) == ["a_b", "a"]
+        assert [r.subject_id for r in load_cohort(str(tmp_path))] == ["a_b", "a"]
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(DataValidationError):
