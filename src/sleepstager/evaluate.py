@@ -8,18 +8,15 @@ splits. Rounds reshuffle the folds with a shifted seed and everything is
 averaged.
 
 Cross-validation's fits share nothing, so their training groups run on
-every CPU the process may use that its BLAS threads leave free: the calling
-process trains the first share of groups, a forked worker each other
-share, and the results are put back in (round, fold) order, so the reports
-do not depend on the process count.
+every CPU the process may use that its BLAS threads leave free, through
+the ``processes`` module: the calling process trains the first share of
+groups, a forked worker each other share, and the results are put back in
+(round, fold) order, so the reports do not depend on the process count.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +26,8 @@ from .features_low import FrameConfig, recording_low_features
 from .ingest import Recording, class_names, stages_to_indices, write_csv
 from .network import NetSpec, network_forward, predict_stages
 from .pipeline import FittedModel, FittedPipeline, fit_pipeline, make_sequences
+# BLAS_THREAD_VARIABLES: what sets the BLAS threads ``_process_count`` divides by
+from .processes import BLAS_THREAD_VARIABLES, _in_processes, _process_count
 from .training import TrainConfig, init_params, lockstep_size, train
 
 Split = tuple[list[np.ndarray], list[np.ndarray]]  # (low features, stage indices) per recording
@@ -252,108 +251,6 @@ def cross_validate(
         recall=float(np.mean([f.recall for f in results])),
         f1=float(np.mean([f.f1 for f in results])),
     )
-
-
-# what sets the threads of numpy's BLAS, in the order OpenBLAS reads them
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _process_count() -> int:
-    """How many processes cross-validation runs on: the CPUs this process may
-    run on (``os.sched_getaffinity``) divided by the threads each process's
-    BLAS starts, so that processes and their BLAS threads do not outnumber
-    the CPUs. The BLAS starts as many threads as the first of
-    ``BLAS_THREAD_VARIABLES`` set to a positive integer says, else one per
-    CPU. One process where ``os.fork`` or ``sched_getaffinity`` is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    for name in BLAS_THREAD_VARIABLES:
-        try:
-            threads = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return max(1, cpus // threads)
-    return 1
-
-
-def _run_share(run, items, share):
-    """``run(items[i])`` for each index ``i`` of ``share`` in order, up to the
-    first exception. Returns the results by index and the fault, as
-    ``(index, exception)``, or None."""
-    done = {}
-    for i in share:
-        try:
-            done[i] = run(items[i])
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
-
-
-def _in_processes(run, items, workers: int) -> list:
-    """``[run(item) for item in items]`` on ``workers`` processes.
-
-    Items are dealt round-robin into ``workers`` shares. The calling process
-    runs share 0 itself; each other share runs in a child made with
-    ``os.fork``, which reads the caller's memory copy-on-write and sends its
-    results, or its first exception, back through a pipe. Each share stops
-    at its own first exception, so the fault with the lowest item index is
-    the one a loop over ``items`` would raise, and it is raised (the caller's
-    own as the same object). A share whose worker ends without a result
-    (killed, or an outcome that does not pickle), or could not be forked,
-    runs in the caller, up to the earliest fault seen so far. A worker whose
-    whole share comes after a known fault is killed. Every child is killed,
-    if still running, and waited for on every path; none is waited for
-    before then, so no pid is reused while it is being signalled.
-    """
-    shares = [range(s, len(items), workers) for s in range(min(workers, len(items)))]
-    children = []  # (share, pid, pipe) per other share; pid and pipe None if not forked
-    try:
-        for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                children.append((share, None, None))
-                continue
-            if pid == 0:  # the worker: it never returns into the caller's stack
-                try:
-                    # an outcome that does not pickle is not sent: no result
-                    outcome = pickle.dumps(_run_share(run, items, share))
-                    with open(write_end, "wb") as out:
-                        out.write(outcome)
-                finally:
-                    os._exit(0)
-            os.close(write_end)
-            children.append((share, pid, open(read_end, "rb")))
-        done, fault = _run_share(run, items, shares[0])
-        faults = [fault] if fault else []
-        for share, pid, pipe in children:
-            earliest = min((i for i, _ in faults), default=len(items))
-            outcome = b""
-            if pid is not None:
-                if share[0] > earliest:
-                    os.kill(pid, signal.SIGKILL)
-                with pipe:
-                    outcome = pipe.read()
-            try:
-                share_done, share_fault = pickle.loads(outcome)
-            except Exception:  # no usable result: run what can still matter here
-                share_done, share_fault = _run_share(run, items, [i for i in share if i < earliest])
-            done.update(share_done)
-            faults += [share_fault] if share_fault else []
-    finally:
-        for _, pid, pipe in children:
-            if pid is not None:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    if faults:
-        raise min(faults, key=lambda fault: fault[0])[1]
-    return [done[i] for i in range(len(items))]
 
 
 def write_cv_csv(report: CvReport, path: str) -> None:

@@ -17,6 +17,9 @@ the recording files. A night is a directory and a subject id, whose files
                  previous-epoch tie-break.
 
 All operations are pure; a Recording is immutable after construction.
+Loading runs in the calling process. Writing a recording's signal tables
+formats their rows on every CPU the process may use, through the
+``processes`` module, and writes the same bytes as one process would.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError
+from .processes import _cpu_count, _forked
 
 EPOCH_SECONDS = 30.0
 ACTIGRAPHY_RATE_HZ = 32.0
@@ -390,31 +394,83 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # amortise the per-block work, small enough that a block's text stays
 # under a megabyte whatever the night's length.
 WRITE_CHUNK = 4096
+# Bytes the caller copies from a worker's pipe to the file per read.
+COPY_BYTES = 1 << 18
+
+
+def _format_rows(t: np.ndarray, values: np.ndarray, start: int, stop: int):
+    """The CSV text of rows ``start:stop``, as bytes, WRITE_CHUNK rows at a time.
+
+    A block is copied into one float64 buffer, turned into Python floats
+    with ``tolist`` and formatted by a single ``%`` of the row format
+    repeated once per row; ``%r`` of a float is ``_fmt``'s ``repr``.
+    """
+    width = 1 + values.shape[1]
+    row = ",".join(["%r"] * width) + "\n"
+    block = np.empty((min(stop - start, WRITE_CHUNK), width))
+    for a in range(start, stop, WRITE_CHUNK):
+        b = min(a + WRITE_CHUNK, stop)
+        rows = block[: b - a]
+        rows[:, 0] = t[a:b]
+        rows[:, 1:] = values[a:b]
+        yield ((row * (b - a)) % tuple(rows.ravel().tolist())).encode()
+
+
+def _copy_share(pipe, fh) -> bool:
+    """Copy a worker's share from its pipe to ``fh``, COPY_BYTES at a time:
+    the length the worker sent, then that many bytes. False if the pipe
+    ends first."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return False
+    left = int.from_bytes(head, "little")
+    while left:
+        chunk = pipe.read(min(left, COPY_BYTES))
+        if not chunk:
+            return False
+        fh.write(chunk)
+        left -= len(chunk)
+    return True
 
 
 def _write_table(path: str, header: list[str], t: np.ndarray, values: np.ndarray) -> None:
     """Write ``t`` and the columns of ``values`` (n, c) as a numeric CSV.
 
     The mirror of ``_read_table``. Every value is written as its float64's
-    ``repr``, as ``_fmt`` does, so the file loads back bit for bit. Rows go
-    out WRITE_CHUNK at a time: a block is copied into one float64 buffer,
-    turned into Python floats with ``tolist`` and formatted by a single
-    ``%`` of the row format repeated once per row.
+    ``repr``, as ``_fmt`` does, so the file loads back bit for bit.
+
+    The rows are split into P contiguous shares, P = min(``_cpu_count()``,
+    n // WRITE_CHUNK), at least 1: formatting calls no BLAS, so every CPU
+    counts. The table's ``_forked`` workers, forked before the file is
+    opened, each format one share after the first with ``_format_rows``,
+    hold its text and send it through their pipe. The caller formats share
+    0 straight into the file, then copies each worker's share in order
+    through a COPY_BYTES buffer, so it never holds more than a block of
+    text. A share whose worker could not be forked or ends short (killed,
+    or its formatting raised) is cut from the file and formatted by the
+    caller. The bytes are the same on any P.
     """
     n = len(t)
     if len(values) != n:
         raise ValueError(f"{path}: {n} times but {len(values)} rows of values")
-    width = 1 + values.shape[1]
-    row = ",".join(["%r"] * width) + "\n"
-    block = np.empty((min(n, WRITE_CHUNK), width))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, n, WRITE_CHUNK):
-            stop = min(start + WRITE_CHUNK, n)
-            rows = block[: stop - start]
-            rows[:, 0] = t[start:stop]
-            rows[:, 1:] = values[start:stop]
-            fh.write((row * (stop - start)) % tuple(rows.ravel().tolist()))
+    workers = max(1, min(_cpu_count(), n // WRITE_CHUNK))
+    bounds = [n * s // workers for s in range(workers + 1)]
+    shares = list(zip(bounds[:-1], bounds[1:]))
+
+    def send(share, out):
+        text = list(_format_rows(t, values, *share))
+        out.write(sum(map(len, text)).to_bytes(8, "little"))
+        out.writelines(text)
+
+    with _forked(send, shares[1:]) as children, open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(_format_rows(t, values, *shares[0]))
+        for share, pid, pipe in children:
+            start = fh.tell()
+            if pid is None or not _copy_share(pipe, fh):
+                fh.seek(start)
+                fh.truncate()
+                fh.writelines(_format_rows(t, values, *share))
 
 
 def save_recording(rec: Recording, directory: str) -> dict[str, str]:
@@ -433,12 +489,18 @@ def save_recording(rec: Recording, directory: str) -> dict[str, str]:
 
 def discover_cohort(directory: str) -> list[str]:
     """Ids of the nights in a cohort directory, each found by any of its
-    ``night_paths`` files, in the order of their heart-rate file names. An id
-    a report CSV's cell cannot hold, one with a comma or line break, is refused."""
+    ``night_paths`` files, in the order of their heart-rate file names. An
+    empty id, from a file named ``_hr.csv``, ``_act.csv`` or ``_labels.csv``,
+    is refused, as is an id a report CSV's cell cannot hold, one with a comma
+    or line break."""
     ends = night_paths("", "").values()  # "_hr.csv", "_act.csv", "_labels.csv"
     found = {name[: -len(e)] for name in os.listdir(directory) for e in ends if name.endswith(e)}
     ids = sorted(found, key=lambda sid: night_paths("", sid)["hr"])
     for sid in ids:
+        if not sid:
+            raise DataValidationError(
+                f"{directory}: empty subject id (a file named _hr.csv, _act.csv or _labels.csv)"
+            )
         if any(c in sid for c in ",\r\n"):
             raise DataValidationError(f"{directory}: subject id {sid!r} has a comma or line break")
     return ids

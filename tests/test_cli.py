@@ -356,6 +356,20 @@ def test_a_subject_id_a_report_cell_cannot_hold_exits_2(cohort_dir, tmp_path, ca
     assert not os.path.exists(out)
 
 
+def test_an_empty_subject_id_exits_2_naming_the_directory(tmp_path, capsys):
+    # files named "_hr.csv", "_act.csv" and "_labels.csv" validated as a
+    # night of subject '': "ok: 2 recording(s)"
+    data = str(tmp_path / "data")
+    assert cli.main(["synth", data, "--recordings", "2", "--epochs", "4"]) == 0
+    for kind in ("hr", "act", "labels"):
+        os.replace(os.path.join(data, f"s00_{kind}.csv"), os.path.join(data, f"_{kind}.csv"))
+    capsys.readouterr()
+    assert cli.main(["validate", data]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {data}: empty subject id (a file named _hr.csv, _act.csv or _labels.csv)\n"
+    )
+
+
 def test_sparse_actigraphy_epoch_exits_2_in_every_command(cohort_dir, tmp_path, capsys):
     # a 2 h night with the 30 s of actigraphy of epoch 100 deleted
     night = str(tmp_path / "night")

@@ -591,6 +591,15 @@ class TestCohort:
         assert discover_cohort(str(tmp_path)) == ["a_b", "a"]
         assert [r.subject_id for r in load_cohort(str(tmp_path))] == ["a_b", "a"]
 
+    @pytest.mark.parametrize("kind", ["hr", "act", "labels"])
+    def test_an_empty_subject_id_is_refused(self, tmp_path, kind):
+        # "_hr.csv", "_act.csv" and "_labels.csv" loaded as subject ''
+        save_recording(make_recording(n_epochs=2, subject_id="s01"), str(tmp_path))
+        os.replace(night_paths(str(tmp_path), "s01")[kind], night_paths(str(tmp_path), "")[kind])
+        with pytest.raises(DataValidationError) as err:
+            discover_cohort(str(tmp_path))
+        assert str(err.value).startswith(f"{tmp_path}: empty subject id")
+
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(DataValidationError):
             load_cohort(str(tmp_path))
