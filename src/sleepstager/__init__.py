@@ -12,24 +12,33 @@ given the seeds; a synthetic cohort generator provides self-contained
 test data.
 
 The package root exports the names README's "Library use" section
-imports; everything else is imported from its module.
+imports, each loaded from its module on first use, so that importing the
+package loads no numpy: ``cli`` can still choose the BLAS threads before
+numpy starts them. Everything else is imported from its module.
 """
 
-from .evaluate import cross_validate, fit_model
-from .features_low import FrameConfig
-from .modelio import load_model, save_model
-from .synth import SynthConfig, generate_cohort
-from .training import TrainConfig
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FrameConfig",
-    "SynthConfig",
-    "TrainConfig",
-    "cross_validate",
-    "fit_model",
-    "generate_cohort",
-    "load_model",
-    "save_model",
-]
+# each exported name, by the module that defines it
+_EXPORTS = {
+    "FrameConfig": "features_low",
+    "SynthConfig": "synth",
+    "TrainConfig": "training",
+    "cross_validate": "evaluate",
+    "fit_model": "evaluate",
+    "generate_cohort": "synth",
+    "load_model": "modelio",
+    "save_model": "modelio",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -18,7 +18,11 @@ error`` (DataValidationError, or an unreadable file); 3 ``numeric failure``
 Running out of memory is a config error: ``config error: out of memory: ...``.
 All outputs are deterministic: running a command twice with the same
 inputs produces byte-identical files on one numpy and BLAS build at one
-BLAS thread count.
+BLAS thread count. A command runs its BLAS on one thread unless the
+environment sets one of ``processes.BLAS_THREAD_VARIABLES``, so that
+``cv`` and ``sweep`` train on every CPU and a model's bytes do not depend
+on the host's CPU count. The default is set when this module is imported
+before numpy; a process that loaded numpy first keeps its BLAS as it is.
 """
 
 import argparse
@@ -26,6 +30,12 @@ import math
 import os
 import sys
 from collections import Counter
+
+from .processes import BLAS_THREAD_VARIABLES
+
+# one BLAS thread unless the user chose: numpy reads the variable as it loads
+if "numpy" not in sys.modules and not any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -88,7 +88,10 @@ def _plusplus_init(
             # every point coincides with a chosen center; any pick works
             centers[j] = samples[rng.integers(n)]
             continue
-        centers[j] = samples[rng.choice(n, p=d2 / total)]
+        # rng.choice(n, p=d2 / total) as choice draws it, without re-checking p
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        centers[j] = samples[cdf.searchsorted(rng.random(), side="right")]
         d2 = np.minimum(d2, _squared_distances(samples, centers[j : j + 1], sample_norms).ravel())
     return centers
 

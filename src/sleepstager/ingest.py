@@ -16,7 +16,8 @@ the recording files. A night is a directory and a subject id, whose files
                  which is reduced to a consensus by plurality vote with
                  previous-epoch tie-break.
 
-All operations are pure; a Recording is immutable after construction.
+All operations are pure; a Recording is immutable after construction, and
+a loaded one's arrays are read-only views of its files' parsed tables.
 Loading runs in the calling process. Writing a recording's signal tables
 formats their rows on every CPU the process may use, through the
 ``processes`` module, and writes the same bytes as one process would.
@@ -96,7 +97,9 @@ class Recording:
     ``labels`` holds each epoch's stage name from STAGES, as the labels
     file spells it. The dataclass checks nothing: ``load_recording``
     truncates the signals to the label span and rejects a signal that does
-    not reach the final epoch. Treat instances as immutable.
+    not reach the final epoch. Treat instances as immutable: the arrays of
+    a loaded or generated night are read-only, and may be shared with
+    other nights or be views of a larger table.
     """
 
     subject_id: str
@@ -113,17 +116,27 @@ class Recording:
         return EPOCH_SECONDS
 
 
+def _epoch_bounds(epochs: np.ndarray, num_epochs: int) -> np.ndarray:
+    """Where each epoch's samples begin in ``epochs``, and where the last
+    epoch's end: ``num_epochs + 1`` indices. ``epochs`` holds non-decreasing
+    sample times counted in epochs, t / EPOCH_SECONDS, or their floors. A
+    sample belongs to epoch floor(t / EPOCH_SECONDS), and for whole k,
+    floor(q) >= k exactly when q >= k, so both give the same bounds."""
+    return np.searchsorted(epochs, np.arange(num_epochs + 1))
+
+
 def _split_epochs(values: np.ndarray, t: np.ndarray, rec: Recording) -> list[np.ndarray]:
     """Rows of ``values`` (one per time in ``t``) bucketed into the recording's epochs.
 
     A sample at time t belongs to epoch floor(t / EPOCH_SECONDS); samples
     outside the span are dropped and each epoch keeps its samples' order.
     """
-    idx = np.floor(t / EPOCH_SECONDS).astype(np.int64)
-    if np.any(idx[1:] < idx[:-1]):
-        order = np.argsort(idx, kind="stable")
-        idx, values = idx[order], values[order]
-    bounds = np.searchsorted(idx, np.arange(rec.num_epochs + 1))
+    epochs = t / EPOCH_SECONDS
+    if np.any(epochs[1:] < epochs[:-1]):  # out of order: a stable sort by epoch
+        epochs = np.floor(epochs)
+        order = np.argsort(epochs, kind="stable")
+        epochs, values = epochs[order], values[order]
+    bounds = _epoch_bounds(epochs, rec.num_epochs)
     return [values[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -199,13 +212,20 @@ def _check_signal(path: str, what: str, t: np.ndarray, values: np.ndarray) -> No
     first: a nan time would otherwise read as out of order."""
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(values))):
         raise DataValidationError(f"{path}: non-finite {what} data")
-    if not np.all(np.diff(t) > 0):
+    if not np.all(t[1:] > t[:-1]):
         raise DataValidationError(f"{path}: {what} timestamps are not strictly increasing")
 
 
-def _truncate(t: np.ndarray, span: float) -> np.ndarray:
-    """Boolean mask keeping samples inside [0, span)."""
-    return (t >= 0.0) & (t < span)
+def _in_span(table: np.ndarray, span: float) -> np.ndarray:
+    """The rows of a parsed signal table whose time, column 0, lies in
+    [0, span), read-only. Its times must be strictly increasing, so those
+    rows are one run: the table itself when it is the whole table, else a
+    compact copy that holds no row outside the span."""
+    start, stop = np.searchsorted(table[:, 0], [0.0, span])
+    if stop - start < len(table):
+        table = table[start:stop].copy()
+    table.flags.writeable = False
+    return table
 
 
 @contextmanager
@@ -328,6 +348,9 @@ def load_recording(directory: str, subject_id: str) -> Recording:
     EPOCH_SECONDS), every epoch needs at least MIN_EPOCH_ACTIGRAPHY
     actigraphy samples, and the actigraphy's mean sample rate must sit
     within 5% of ACTIGRAPHY_RATE_HZ.
+
+    The night's arrays are read-only views of each file's parsed table, or,
+    when the file runs past the span, of a compact copy of its rows in it.
     """
     paths = night_paths(directory, subject_id)
     for kind, what in _NIGHT_FILES.items():
@@ -335,25 +358,26 @@ def load_recording(directory: str, subject_id: str) -> Recording:
             raise DataValidationError(f"missing {what} file: {paths[kind]}")
     hr_path, act_path = paths["hr"], paths["act"]
     labels = load_labels_csv(paths["labels"])
-    hr = load_heart_rate_csv(hr_path)
-    act = load_actigraphy_csv(act_path)
+    hr_table = _read_table(hr_path, HR_HEADER, "heart rate")
+    act_table = _read_table(act_path, ACT_HEADER, "actigraphy")
 
-    _check_signal(hr_path, "heart rate", hr.t, hr.bpm)
-    _check_signal(act_path, "actigraphy", act.t, act.xyz)
-    if np.any(hr.bpm <= 0):
+    _check_signal(hr_path, "heart rate", hr_table[:, 0], hr_table[:, 1])
+    _check_signal(act_path, "actigraphy", act_table[:, 0], act_table[:, 1:])
+    bpm = hr_table[:, 1]
+    if np.any(bpm <= 0):
         raise DataValidationError(f"{hr_path}: non-positive heart rate sample")
-    slow = np.flatnonzero(hr.bpm < 60.0 / EPOCH_SECONDS)  # 60 / bpm > EPOCH_SECONDS
+    slow = np.flatnonzero(bpm < 60.0 / EPOCH_SECONDS)  # 60 / bpm > EPOCH_SECONDS
     if slow.size:
         raise DataValidationError(
-            f"{hr_path}: heart rate {hr.bpm[slow[0]]:g} bpm at t={hr.t[slow[0]]:g} s: "
+            f"{hr_path}: heart rate {bpm[slow[0]]:g} bpm at t={hr_table[slow[0], 0]:g} s: "
             f"its beat interval 60 / bpm exceeds one {EPOCH_SECONDS:g} s epoch"
         )
 
     span = len(labels) * EPOCH_SECONDS
-    hr_keep = _truncate(hr.t, span)
-    act_keep = _truncate(act.t, span)
-    hr = HeartRateSeries(t=hr.t[hr_keep], bpm=hr.bpm[hr_keep])
-    act = ActigraphySeries(t=act.t[act_keep], xyz=act.xyz[act_keep])
+    hr_table = _in_span(hr_table, span)
+    act_table = _in_span(act_table, span)
+    hr = HeartRateSeries(t=hr_table[:, 0], bpm=hr_table[:, 1])
+    act = ActigraphySeries(t=act_table[:, 0], xyz=act_table[:, 1:])
 
     last_epoch_start = (len(labels) - 1) * EPOCH_SECONDS
     if hr.t.size == 0 or hr.t[-1] < last_epoch_start:
@@ -361,20 +385,21 @@ def load_recording(directory: str, subject_id: str) -> Recording:
     if act.t.size == 0 or act.t[-1] < last_epoch_start:
         raise DataValidationError(f"{act_path}: actigraphy signal shorter than label span")
 
-    rec = Recording(subject_id=subject_id, hr=hr, act=act, labels=tuple(labels))
-    for k, samples in enumerate(epoch_actigraphy(rec)):
-        if samples.shape[0] < MIN_EPOCH_ACTIGRAPHY:
-            raise DataValidationError(
-                f"{act_path}: actigraphy epoch {k} has {samples.shape[0]} sample(s); "
-                f"every epoch needs at least {MIN_EPOCH_ACTIGRAPHY}"
-            )
+    counts = np.diff(_epoch_bounds(act.t / EPOCH_SECONDS, len(labels)))
+    sparse = np.flatnonzero(counts < MIN_EPOCH_ACTIGRAPHY)
+    if sparse.size:
+        k = sparse[0]
+        raise DataValidationError(
+            f"{act_path}: actigraphy epoch {k} has {counts[k]} sample(s); "
+            f"every epoch needs at least {MIN_EPOCH_ACTIGRAPHY}"
+        )
     mean_rate = (act.t.size - 1) / (act.t[-1] - act.t[0])
     if abs(mean_rate - ACTIGRAPHY_RATE_HZ) / ACTIGRAPHY_RATE_HZ > RATE_TOLERANCE:
         raise DataValidationError(
             f"{act_path}: actigraphy rate {mean_rate:.3f} Hz deviates more than "
             f"{RATE_TOLERANCE:.0%} from nominal {ACTIGRAPHY_RATE_HZ} Hz"
         )
-    return rec
+    return Recording(subject_id=subject_id, hr=hr, act=act, labels=tuple(labels))
 
 
 def _fmt(x: float) -> str:

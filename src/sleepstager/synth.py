@@ -70,29 +70,38 @@ def _effective(cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stage_chain(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+    # each step draws rng.choice(5, p=row) as choice itself does, from the
+    # row's normalised cumulative sum, without checking the row each time
+    cdf = cfg.transition.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     stages = np.empty(cfg.epochs_per_recording, dtype=np.int64)
     stages[0] = 0  # recordings begin awake
     for t in range(1, cfg.epochs_per_recording):
-        stages[t] = rng.choice(5, p=cfg.transition[stages[t - 1]])
+        stages[t] = cdf[stages[t - 1]].searchsorted(rng.random(), side="right")
     return stages
 
 
-def _generate_one(cfg: SynthConfig, rng: np.random.Generator, subject_id: str) -> Recording:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _generate_one(
+    cfg: SynthConfig, rng: np.random.Generator, subject_id: str, hr_t: np.ndarray, act_t: np.ndarray
+) -> Recording:
+    """One night on the cohort's shared time axes ``hr_t`` and ``act_t``."""
     n = cfg.epochs_per_recording
-    span = n * EPOCH_SECONDS
     hr_mean, burst_prob = _effective(cfg)
 
     stages = _stage_chain(cfg, rng)
     emit = stages if not cfg.context_only else np.concatenate([[0], stages[:-1]])
 
     # heart rate: one sample per 1/rate seconds, stage-conditional Gaussian
-    hr_t = np.arange(int(span * HR_RATE_HZ)) / HR_RATE_HZ
     hr_stage = emit[np.floor(hr_t / EPOCH_SECONDS).astype(np.int64)]
     bpm = rng.normal(hr_mean[hr_stage], HR_STD[hr_stage])
     bpm = np.clip(bpm, 20.0, 220.0)
 
     # actigraphy: baseline sensor noise plus stage-dependent movement bursts
-    act_t = np.arange(int(span * ACTIGRAPHY_RATE_HZ)) / ACTIGRAPHY_RATE_HZ
     xyz = rng.normal(0.0, ACT_NOISE_STD, size=(act_t.size, 3))
     per_epoch = int(EPOCH_SECONDS * ACTIGRAPHY_RATE_HZ)
     for k in range(n):
@@ -106,17 +115,26 @@ def _generate_one(cfg: SynthConfig, rng: np.random.Generator, subject_id: str) -
 
     return Recording(
         subject_id=subject_id,
-        hr=HeartRateSeries(t=hr_t, bpm=bpm),
-        act=ActigraphySeries(t=act_t, xyz=xyz),
+        hr=HeartRateSeries(t=hr_t, bpm=_read_only(bpm)),
+        act=ActigraphySeries(t=act_t, xyz=_read_only(xyz)),
         labels=tuple(STAGES[s] for s in stages),
     )
 
 
 def generate_cohort(cfg: SynthConfig) -> list[Recording]:
-    """Deterministic cohort: recording i draws from the i-th spawned stream."""
+    """Deterministic cohort: recording i draws from the i-th spawned stream.
+
+    Every night holds the same two read-only time axes, built once here;
+    its own signal arrays are read-only too.
+    """
+    span = cfg.epochs_per_recording * EPOCH_SECONDS
+    hr_t = _read_only(np.arange(int(span * HR_RATE_HZ)) / HR_RATE_HZ)
+    act_t = _read_only(np.arange(int(span * ACTIGRAPHY_RATE_HZ)) / ACTIGRAPHY_RATE_HZ)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_recordings)
     width = max(2, len(str(cfg.n_recordings - 1)))
     return [
-        _generate_one(cfg, np.random.Generator(np.random.Philox(children[i])), f"s{i:0{width}d}")
+        _generate_one(
+            cfg, np.random.Generator(np.random.Philox(children[i])), f"s{i:0{width}d}", hr_t, act_t
+        )
         for i in range(cfg.n_recordings)
     ]

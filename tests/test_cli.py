@@ -19,6 +19,7 @@ from sleepstager.evaluate import fit_model
 from sleepstager.features_low import FrameConfig, recording_low_features
 from sleepstager.ingest import load_cohort
 from sleepstager.modelio import load_model, save_model
+from sleepstager.processes import BLAS_THREAD_VARIABLES
 from sleepstager.training import TrainConfig
 from test_ingest import CSV_CASES, write_case
 from test_modelio import GOLDEN, read_file, rewrite_header
@@ -337,6 +338,23 @@ def test_a_night_missing_a_file_exits_2_naming_it(tmp_path, capsys, kind, what):
     capsys.readouterr()
     assert cli.main(["validate", data]) == 2
     assert capsys.readouterr().err == f"data error: missing {what} file: {path}\n"
+
+
+def test_of_two_bad_nights_the_earliest_subjects_fault_is_reported(tmp_path, capsys):
+    # s02's fault is found before its files are parsed, s01's only after:
+    # a loader that checks nights in any other order must still report s01's
+    data = str(tmp_path / "data")
+    assert cli.main(["synth", data, "--recordings", "3", "--epochs", "4"]) == 0
+    hr = os.path.join(data, "s01_hr.csv")
+    with open(hr) as fh:
+        lines = fh.readlines()
+    lines[5] = lines[5].split(",")[0] + ",-1.0\n"
+    with open(hr, "w") as fh:
+        fh.writelines(lines)
+    os.remove(os.path.join(data, "s02_labels.csv"))
+    capsys.readouterr()
+    assert cli.main(["validate", data]) == 2
+    assert capsys.readouterr().err == f"data error: {hr}: non-positive heart rate sample\n"
 
 
 @pytest.mark.parametrize("sid", ["a,b", "a\nb", "a\rb"])
@@ -674,12 +692,16 @@ def test_diverged_training_exits_3(cohort_dir, tmp_path, capsys, setting):
     assert os.listdir(tmp_path) == []
 
 
-def run_cli(argv, address_space=None, cpus=None):
-    """``sleepstager argv`` in a process of its own, with one BLAS thread and,
-    if given, ``address_space`` bytes as that process's RLIMIT_AS and the set
-    ``cpus`` as its CPU affinity."""
+def run_cli(argv, address_space=None, cpus=None, blas_threads="1"):
+    """``sleepstager argv`` in a process of its own, with ``blas_threads``
+    BLAS threads (no BLAS thread variable set when None) and, if given,
+    ``address_space`` bytes as that process's RLIMIT_AS and the set ``cpus``
+    as its CPU affinity."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = src
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
 
     def limit():
         if address_space:
@@ -690,6 +712,21 @@ def run_cli(argv, address_space=None, cpus=None):
     cmd = [sys.executable, "-m", "sleepstager.cli"] + argv
     return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300,
                           preexec_fn=limit if address_space or cpus else None)
+
+
+def test_a_model_s_bytes_do_not_depend_on_the_blas_variables_being_set(tmp_path):
+    # with no variable set, OpenBLAS would start a thread per CPU, and on 2
+    # or more CPUs it rounds blstm@32's products on 520 features otherwise
+    data = str(tmp_path / "data")
+    assert cli.main(["synth", data, "--recordings", "4", "--epochs", "120", "--set", "seed=9"]) == 0
+    models = []
+    for threads in (None, "1"):
+        model = tmp_path / f"model-{threads}.bin"
+        argv = ["train", data, str(model), "--set", "units=32", "--set", "max_passes=1"]
+        proc = run_cli(argv, blas_threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        models.append(model.read_bytes())
+    assert models[0] == models[1]
 
 
 def test_numeric_failure_is_one_line_on_stderr(cohort_dir, tmp_path):

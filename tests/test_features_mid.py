@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sleepstager import features_mid
 from sleepstager.errors import NumericError
@@ -31,12 +33,9 @@ def sq_dist(x, c):
     )
 
 
-def recomputing_kmeans(samples, k, seed, max_iters=100, tol=1e-6):
-    """k-means as it was written before sample norms were computed once per
-    fit: every distance call squares and sums all samples again."""
-    samples = np.asarray(samples, dtype=np.float64)
+def choice_seeding(samples, k, rng):
+    """Spread-out seeding that draws each new center with ``rng.choice``."""
     n = samples.shape[0]
-    rng = np.random.default_rng(seed)
     centers = np.empty((k, samples.shape[1]))
     centers[0] = samples[rng.integers(n)]
     d2 = sq_dist(samples, centers[:1]).ravel()
@@ -47,6 +46,14 @@ def recomputing_kmeans(samples, k, seed, max_iters=100, tol=1e-6):
             continue
         centers[j] = samples[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, sq_dist(samples, centers[j : j + 1]).ravel())
+    return centers
+
+
+def recomputing_kmeans(samples, k, seed, max_iters=100, tol=1e-6):
+    """k-means as it was written before sample norms were computed once per
+    fit: every distance call squares and sums all samples again."""
+    samples = np.asarray(samples, dtype=np.float64)
+    centers = choice_seeding(samples, k, np.random.default_rng(seed))
     history, prev = [], np.inf
     for _ in range(max_iters):
         assign = np.argmin(sq_dist(samples, centers), axis=1)
@@ -157,6 +164,19 @@ class TestKmeans:
         norms = features_mid._squared_norms(samples)
         got = features_mid._squared_distances(samples, centers, norms)
         assert got.tobytes() == sq_dist(samples, centers).tobytes()
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 60), st.integers(1, 5), st.integers(0, 60))
+    def test_seeding_draws_as_rng_choice_does(self, seed, n, dim, repeats):
+        # random D² rows: spread scales, and repeated points for D² = 0
+        data = np.random.default_rng(seed)
+        samples = data.standard_normal((n, dim)) * 10.0 ** data.uniform(-3, 3, size=dim)
+        samples[: min(repeats, n)] = samples[0]
+        k = int(data.integers(1, n + 1))
+        norms = features_mid._squared_norms(samples)
+        rng = np.random.Generator(np.random.Philox(seed))
+        got = features_mid._plusplus_init(samples, norms, k, rng)
+        expect = choice_seeding(samples, k, np.random.Generator(np.random.Philox(seed)))
+        assert got.tobytes() == expect.tobytes()
 
 
 class TestBowEncode:

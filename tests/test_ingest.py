@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,13 @@ from per_epoch_oracle import (
 )
 
 W, N1, N2, N3, REM = STAGES
+
+
+def held_bytes(a: np.ndarray) -> int:
+    """The bytes of the array that owns ``a``'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a.nbytes
 
 
 def make_recording(n_epochs=4, subject_id="s01", seed=0):
@@ -495,6 +503,54 @@ class TestRecordingValidation:
         loaded = load_recording(str(tmp_path), "s01")
         assert loaded.hr.t[-1] < 60.0
         assert loaded.hr.t.size == rec.hr.t.size
+
+    def test_a_night_past_its_labels_holds_only_its_span(self, tmp_path):
+        rec = make_recording(n_epochs=2)
+        paths = self._paths(tmp_path, rec)
+        # a sample before the span, and samples after it in both signals
+        outside = {"hr": ("-1.0,60.0\n", "61.0,65.0\n"), "act": ("-0.5,0,0,0\n", "60.0,0,0,0\n")}
+        for kind, (before, after) in outside.items():
+            with open(paths[kind]) as fh:
+                header, *rows = fh.readlines()
+            with open(paths[kind], "w") as fh:
+                fh.writelines([header, before] + rows + [after])
+        loaded = load_recording(str(tmp_path), "s01")
+        for got, sent in zip(
+            (loaded.hr.t, loaded.hr.bpm, loaded.act.t, loaded.act.xyz),
+            (rec.hr.t, rec.hr.bpm, rec.act.t, rec.act.xyz),
+        ):
+            assert got.tobytes() == sent.tobytes()
+        # the arrays own no memory but the rows in the span
+        assert held_bytes(loaded.hr.t) == held_bytes(loaded.hr.bpm) == rec.hr.t.size * 2 * 8
+        assert held_bytes(loaded.act.t) == held_bytes(loaded.act.xyz) == rec.act.t.size * 4 * 8
+
+    @pytest.mark.parametrize("past_span", [False, True])
+    def test_a_loaded_night_is_read_only(self, tmp_path, past_span):
+        paths = self._paths(tmp_path, make_recording(n_epochs=2))
+        if past_span:
+            with open(paths["act"], "a") as fh:
+                fh.write("60.0,0,0,0\n")
+        loaded = load_recording(str(tmp_path), "s01")
+        for a in (loaded.hr.t, loaded.hr.bpm, loaded.act.t, loaded.act.xyz):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+
+    def test_load_peak_memory_stays_near_the_parsed_tables(self, tmp_path):
+        # the night's arrays are views of its parsed tables: no second copy
+        # of the samples, which the truncation to the label span used to make
+        rec = generate_cohort(SynthConfig(n_recordings=1, epochs_per_recording=240, seed=3))[0]
+        save_recording(rec, str(tmp_path))
+        tracemalloc.start()
+        try:
+            loaded = load_recording(str(tmp_path), rec.subject_id)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = held_bytes(loaded.hr.t) + held_bytes(loaded.act.t)
+        assert tables == (rec.hr.t.size * 2 + rec.act.t.size * 4) * 8
+        assert peak < 1.5 * tables, peak / tables
 
     def test_short_heart_rate_rejected(self, tmp_path):
         rec = make_recording(n_epochs=4)

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sleepstager.ingest import EPOCH_SECONDS, load_cohort, save_recording
@@ -12,6 +14,7 @@ from sleepstager.synth import (
     HR_RATE_HZ,
     HR_STD,
     SynthConfig,
+    _stage_chain,
     generate_cohort,
 )
 
@@ -64,6 +67,24 @@ class TestGeneratedCohorts:
             np.testing.assert_array_equal(ra.hr.bpm, rb.hr.bpm)
             np.testing.assert_array_equal(ra.act.xyz, rb.act.xyz)
             assert ra.labels == rb.labels
+
+    def test_nights_share_read_only_time_axes(self):
+        cohort = generate_cohort(SynthConfig(n_recordings=3, epochs_per_recording=4, seed=1))
+        for rec in cohort:
+            assert rec.hr.t is cohort[0].hr.t and rec.act.t is cohort[0].act.t
+            for a in (rec.hr.t, rec.hr.bpm, rec.act.t, rec.act.xyz):
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+
+    @given(st.integers(0, 2**64 - 1), st.booleans(), st.integers(1, 60))
+    def test_stage_chain_draws_as_rng_choice_does(self, seed, context_only, epochs):
+        cfg = SynthConfig(epochs_per_recording=epochs, context_only=context_only)
+        got = _stage_chain(cfg, np.random.Generator(np.random.Philox(seed)))
+        rng = np.random.Generator(np.random.Philox(seed))
+        expect = [0]
+        for _ in range(epochs - 1):
+            expect.append(rng.choice(5, p=cfg.transition[expect[-1]]))
+        assert got.tolist() == expect
 
     def test_different_seeds_differ(self):
         a = generate_cohort(SynthConfig(n_recordings=1, epochs_per_recording=8, seed=1))
