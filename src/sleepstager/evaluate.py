@@ -26,8 +26,7 @@ from .features_low import FrameConfig, recording_low_features
 from .ingest import Recording, class_names, stages_to_indices, write_csv
 from .network import NetSpec, network_forward, predict_stages
 from .pipeline import FittedModel, FittedPipeline, fit_pipeline, make_sequences
-# BLAS_THREAD_VARIABLES: what sets the BLAS threads ``_process_count`` divides by
-from .processes import BLAS_THREAD_VARIABLES, _in_processes, _process_count
+from .processes import _in_processes, _process_count
 from .training import TrainConfig, init_params, lockstep_size, train
 
 Split = tuple[list[np.ndarray], list[np.ndarray]]  # (low features, stage indices) per recording
@@ -300,5 +299,5 @@ def summary_document(report: CvReport) -> str:
 
 
 def write_cv_summary(report: CvReport, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(summary_document(report))

@@ -7,14 +7,12 @@ sleep stage label per 30 s epoch. A label is the stage's name from the
 labels file, one of STAGES, whose order is the class order. This module
 owns the on-disk CSV formats, the report CSVs' cells (``write_csv``) and
 the recording files. A night is a directory and a subject id, whose files
-``night_paths`` names ``<id>_hr.csv``, ``<id>_act.csv``, ``<id>_labels.csv``:
-
-    heart rate:  header ``t_seconds,bpm``
-    actigraphy:  header ``t_seconds,x_g,y_g,z_g``
-    labels:      header ``epoch_index,stage`` with stage in STAGES, or the
-                 multi-scorer form ``epoch_index,stage_1,...,stage_s``
-                 which is reduced to a consensus by plurality vote with
-                 previous-epoch tie-break.
+``night_paths`` names ``<id>_<kind>.csv``. ``_NIGHT_FILES`` is the format
+table: each kind, ``hr``, ``act`` and ``labels``, with what its file holds
+and its header. The signal files are numeric tables, a time column and
+the samples; the labels file holds each epoch's index and stage in
+STAGES, or one stage column per scorer, which is reduced to a consensus
+by plurality vote with previous-epoch tie-break.
 
 All operations are pure; a Recording is immutable after construction, and
 a loaded one's arrays are read-only views of its files' parsed tables.
@@ -42,9 +40,15 @@ RATE_TOLERANCE = 0.05
 # An epoch's cepstra are of its first-differenced actigraphy, and a
 # cepstrum needs at least 2 values.
 MIN_EPOCH_ACTIGRAPHY = 3
-HR_HEADER = ["t_seconds", "bpm"]
-ACT_HEADER = ["t_seconds", "x_g", "y_g", "z_g"]
 
+# A night's files, ``<id>_<kind>.csv``, by kind: what each holds and its
+# header, in the order ``load_recording`` checks them. A labels file may
+# carry more than one stage column, one per scorer.
+_NIGHT_FILES = {
+    "hr": ("heart rate", ["t_seconds", "bpm"]),
+    "act": ("actigraphy", ["t_seconds", "x_g", "y_g", "z_g"]),
+    "labels": ("labels", ["epoch_index", "stage"]),
+}
 
 # The five scoring stages by name, in class index order.
 STAGES = ("W", "N1", "N2", "N3", "REM")
@@ -207,21 +211,26 @@ def merge_scorer_labels(hypnograms: list[list[str]]) -> list[str]:
     return consensus
 
 
-def _check_signal(path: str, what: str, t: np.ndarray, values: np.ndarray) -> None:
-    """Finite samples at strictly increasing times. Finiteness is checked
-    first: a nan time would otherwise read as out of order."""
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(values))):
+def _check_signal(path: str, kind: str, table: np.ndarray) -> None:
+    """A parsed signal table of finite samples at strictly increasing times,
+    column 0. Finiteness is checked first: a nan time would otherwise read
+    as out of order."""
+    what, t = _NIGHT_FILES[kind][0], table[:, 0]
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(table[:, 1:]))):
         raise DataValidationError(f"{path}: non-finite {what} data")
     if not np.all(t[1:] > t[:-1]):
         raise DataValidationError(f"{path}: {what} timestamps are not strictly increasing")
 
 
-def _in_span(table: np.ndarray, span: float) -> np.ndarray:
-    """The rows of a parsed signal table whose time, column 0, lies in
-    [0, span), read-only. Its times must be strictly increasing, so those
-    rows are one run: the table itself when it is the whole table, else a
-    compact copy that holds no row outside the span."""
-    start, stop = np.searchsorted(table[:, 0], [0.0, span])
+def _in_span(path: str, kind: str, table: np.ndarray, num_epochs: int) -> np.ndarray:
+    """The rows of a checked signal table whose time lies in the span of
+    ``num_epochs`` epochs, read-only: the table itself when that is every
+    row, else a compact copy that holds no row outside the span. A signal
+    with no row in the final epoch is refused as too short."""
+    final = (num_epochs - 1) * EPOCH_SECONDS
+    start, last, stop = np.searchsorted(table[:, 0], [0.0, final, final + EPOCH_SECONDS])
+    if last == stop:
+        raise DataValidationError(f"{path}: {_NIGHT_FILES[kind][0]} signal shorter than label span")
     if stop - start < len(table):
         table = table[start:stop].copy()
     table.flags.writeable = False
@@ -238,14 +247,15 @@ def _open_csv(path: str):
         raise DataValidationError(f"{path}: not UTF-8 text") from exc
 
 
-def _read_table(path: str, header: list[str], what: str) -> np.ndarray:
-    """Parse a numeric CSV with the given header into shape (rows, len(header)).
+def _read_table(path: str, kind: str) -> np.ndarray:
+    """Parse a signal file of ``kind`` into shape (rows, len(header)).
 
     numpy parses the rows in one call, so its grammar is the format: decimal
     and exponent numbers, ``nan`` and ``inf``, no quotes, ``_`` separators
     or comment lines. Extra columns are ignored and blank lines skipped; a
     row numpy refuses is a data error naming its file line and column.
     """
+    what, header = _NIGHT_FILES[kind]
     width = len(header)
     with _open_csv(path) as fh:
         if [c.strip() for c in fh.readline().split(",")] != header:
@@ -279,31 +289,19 @@ def _at_file_line(message: str, fh) -> str:
     return f"{message[: found.start()]}at line {lines[row]}{message[found.end() :]}"
 
 
-def load_heart_rate_csv(path: str) -> HeartRateSeries:
-    """Parse a heart-rate CSV (header ``t_seconds,bpm``)."""
-    table = _read_table(path, HR_HEADER, "heart rate")
-    return HeartRateSeries(t=table[:, 0], bpm=table[:, 1])
-
-
-def load_actigraphy_csv(path: str) -> ActigraphySeries:
-    """Parse an actigraphy CSV (header ``t_seconds,x_g,y_g,z_g``)."""
-    table = _read_table(path, ACT_HEADER, "actigraphy")
-    return ActigraphySeries(t=table[:, 0], xyz=table[:, 1:])
-
-
 def load_labels_csv(path: str) -> list[str]:
     """Parse a label CSV into its scorers' consensus (one scorer's is its own).
 
-    Indices must be contiguous from 0. The single-scorer header is
-    ``epoch_index,stage``; multi-scorer files carry one column per scorer.
+    Indices must be contiguous from 0. The header is ``_NIGHT_FILES``'s,
+    with one stage column per scorer.
     Lines split on every comma, as headers do, so a quoted cell is refused. A
     refused header or row is a data error naming its file line.
     """
     with _open_csv(path) as fh:
         header = fh.readline().split(",")
-        if len(header) < 2 or header[0].strip() != "epoch_index":
-            expected = "epoch_index,stage[,...]"
-            raise DataValidationError(f"{path}: expected header '{expected}' at line 1")
+        index, stage = _NIGHT_FILES["labels"][1]
+        if len(header) < 2 or header[0].strip() != index:
+            raise DataValidationError(f"{path}: expected header '{index},{stage}[,...]' at line 1")
         hypnograms: list[list[str]] = [[] for _ in header[1:]]
         for line_num, line in enumerate(fh, 2):
             row = line.rstrip("\r\n").split(",")
@@ -330,10 +328,6 @@ def load_labels_csv(path: str) -> list[str]:
     return merge_scorer_labels(hypnograms)
 
 
-# A night's files, ``<id>_<kind>.csv``, by kind and what each holds, in the order checked.
-_NIGHT_FILES = {"hr": "heart rate", "act": "actigraphy", "labels": "labels"}
-
-
 def night_paths(directory: str, subject_id: str) -> dict[str, str]:
     """The paths of a night's heart rate, actigraphy and labels files, by kind."""
     return {kind: os.path.join(directory, f"{subject_id}_{kind}.csv") for kind in _NIGHT_FILES}
@@ -353,38 +347,28 @@ def load_recording(directory: str, subject_id: str) -> Recording:
     when the file runs past the span, of a compact copy of its rows in it.
     """
     paths = night_paths(directory, subject_id)
-    for kind, what in _NIGHT_FILES.items():
+    for kind, (what, _) in _NIGHT_FILES.items():
         if not os.path.exists(paths[kind]):
             raise DataValidationError(f"missing {what} file: {paths[kind]}")
-    hr_path, act_path = paths["hr"], paths["act"]
     labels = load_labels_csv(paths["labels"])
-    hr_table = _read_table(hr_path, HR_HEADER, "heart rate")
-    act_table = _read_table(act_path, ACT_HEADER, "actigraphy")
-
-    _check_signal(hr_path, "heart rate", hr_table[:, 0], hr_table[:, 1])
-    _check_signal(act_path, "actigraphy", act_table[:, 0], act_table[:, 1:])
-    bpm = hr_table[:, 1]
+    # both signal files are parsed before either is checked
+    tables = {kind: _read_table(paths[kind], kind) for kind in ("hr", "act")}
+    for kind, table in tables.items():
+        _check_signal(paths[kind], kind, table)
+    hr_path, act_path = paths["hr"], paths["act"]
+    hr_t, bpm = tables["hr"].T
     if np.any(bpm <= 0):
         raise DataValidationError(f"{hr_path}: non-positive heart rate sample")
     slow = np.flatnonzero(bpm < 60.0 / EPOCH_SECONDS)  # 60 / bpm > EPOCH_SECONDS
     if slow.size:
         raise DataValidationError(
-            f"{hr_path}: heart rate {bpm[slow[0]]:g} bpm at t={hr_table[slow[0], 0]:g} s: "
+            f"{hr_path}: heart rate {bpm[slow[0]]:g} bpm at t={hr_t[slow[0]]:g} s: "
             f"its beat interval 60 / bpm exceeds one {EPOCH_SECONDS:g} s epoch"
         )
 
-    span = len(labels) * EPOCH_SECONDS
-    hr_table = _in_span(hr_table, span)
-    act_table = _in_span(act_table, span)
+    hr_table, act_table = (_in_span(paths[k], k, tab, len(labels)) for k, tab in tables.items())
     hr = HeartRateSeries(t=hr_table[:, 0], bpm=hr_table[:, 1])
     act = ActigraphySeries(t=act_table[:, 0], xyz=act_table[:, 1:])
-
-    last_epoch_start = (len(labels) - 1) * EPOCH_SECONDS
-    if hr.t.size == 0 or hr.t[-1] < last_epoch_start:
-        raise DataValidationError(f"{hr_path}: heart rate signal shorter than label span")
-    if act.t.size == 0 or act.t[-1] < last_epoch_start:
-        raise DataValidationError(f"{act_path}: actigraphy signal shorter than label span")
-
     counts = np.diff(_epoch_bounds(act.t / EPOCH_SECONDS, len(labels)))
     sparse = np.flatnonzero(counts < MIN_EPOCH_ACTIGRAPHY)
     if sparse.size:
@@ -458,8 +442,8 @@ def _copy_share(pipe, fh) -> bool:
     return True
 
 
-def _write_table(path: str, header: list[str], t: np.ndarray, values: np.ndarray) -> None:
-    """Write ``t`` and the columns of ``values`` (n, c) as a numeric CSV.
+def _write_table(path: str, kind: str, t: np.ndarray, values: np.ndarray) -> None:
+    """Write ``t`` and the columns of ``values`` (n, c) as a signal file of ``kind``.
 
     The mirror of ``_read_table``. Every value is written as its float64's
     ``repr``, as ``_fmt`` does, so the file loads back bit for bit.
@@ -488,7 +472,7 @@ def _write_table(path: str, header: list[str], t: np.ndarray, values: np.ndarray
         out.writelines(text)
 
     with _forked(send, shares[1:]) as children, open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+        fh.write((",".join(_NIGHT_FILES[kind][1]) + "\n").encode())
         fh.writelines(_format_rows(t, values, *shares[0]))
         for share, pid, pipe in children:
             start = fh.tell()
@@ -506,9 +490,9 @@ def save_recording(rec: Recording, directory: str) -> dict[str, str]:
     """
     os.makedirs(directory, exist_ok=True)
     paths = night_paths(directory, rec.subject_id)
-    _write_table(paths["hr"], HR_HEADER, rec.hr.t, rec.hr.bpm[:, None])
-    _write_table(paths["act"], ACT_HEADER, rec.act.t, rec.act.xyz)
-    write_csv(paths["labels"], ["epoch_index", "stage"], enumerate(rec.labels))
+    _write_table(paths["hr"], "hr", rec.hr.t, rec.hr.bpm[:, None])
+    _write_table(paths["act"], "act", rec.act.t, rec.act.xyz)
+    write_csv(paths["labels"], _NIGHT_FILES["labels"][1], enumerate(rec.labels))
     return paths
 
 

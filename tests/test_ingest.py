@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sleepstager import cli
 from sleepstager.ingest import (
     EPOCH_SECONDS,
     STAGES,
@@ -16,14 +17,13 @@ from sleepstager.ingest import (
     DataValidationError,
     HeartRateSeries,
     Recording,
+    _read_table,
     class_names,
     discover_cohort,
     epoch_actigraphy,
     epoch_rr,
     impute_empty_rr,
-    load_actigraphy_csv,
     load_cohort,
-    load_heart_rate_csv,
     load_labels_csv,
     load_recording,
     merge_scorer_labels,
@@ -266,10 +266,8 @@ class TestCsvRoundTrip:
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("time,bpm\n0.0,60.0\n")
-        from sleepstager.ingest import load_heart_rate_csv
-
         with pytest.raises(DataValidationError):
-            load_heart_rate_csv(str(p))
+            _read_table(str(p), "hr")
 
     def test_noncontiguous_epochs_rejected(self, tmp_path):
         p = tmp_path / "l.csv"
@@ -333,14 +331,6 @@ CSV_CASES = {
 }
 
 
-def _load_table(kind, path):
-    if kind == "hr":
-        s = load_heart_rate_csv(path)
-        return np.column_stack([s.t, s.bpm])
-    s = load_actigraphy_csv(path)
-    return np.column_stack([s.t, s.xyz])
-
-
 # values whose shortest repr takes every form: signed zero, subnormals,
 # exponent and plain notation at the switch-over, non-finite values
 EDGE_VALUES = (
@@ -387,7 +377,7 @@ class TestCsvParsers:
         what = "heart rate" if kind == "hr" else "actigraphy"
         if case in REFUSED_AT:
             with pytest.raises(DataValidationError) as got:
-                _load_table(kind, path)
+                _read_table(path, kind)
             refused = REFUSED_AT[case].format(h=",".join(HEADERS[kind]))
             assert str(got.value) == f"{path}: {refused}"
             return
@@ -395,10 +385,10 @@ class TestCsvParsers:
             expect = row_loop_table(path, HEADERS[kind], what)
         except DataValidationError as exc:
             with pytest.raises(DataValidationError) as got:
-                _load_table(kind, path)
+                _read_table(path, kind)
             assert str(got.value) == str(exc)
             return
-        got = _load_table(kind, path)
+        got = _read_table(path, kind)
         assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
     def test_writer_rejects_unequal_columns(self, tmp_path):
@@ -416,7 +406,7 @@ class TestCsvParsers:
         path = tmp_path / "hr.csv"
         path.write_text("t_seconds,bpm\n")
         with pytest.raises(DataValidationError, match="no heart rate samples"):
-            load_heart_rate_csv(str(path))
+            _read_table(str(path), "hr")
 
     @settings(max_examples=60)
     @given(
@@ -433,7 +423,7 @@ class TestCsvParsers:
             with open(path, "w", newline="") as fh:
                 fh.write(newline.join(lines) + newline)
             with pytest.raises(DataValidationError) as got:
-                load_heart_rate_csv(path)
+                _read_table(path, "hr")
         assert f" at line {len(before) + 2}" in str(got.value)
 
     @given(
@@ -456,10 +446,10 @@ class TestCsvParsers:
         )
         with tempfile.TemporaryDirectory() as d:
             paths = save_recording(rec, d)
-            hr = load_heart_rate_csv(paths["hr"])
-            act = load_actigraphy_csv(paths["act"])
+            hr = _read_table(paths["hr"], "hr")
+            act = _read_table(paths["act"], "act")
             assert load_labels_csv(paths["labels"]) == labels
-        for got, expect in ((hr.t, t), (hr.bpm, bpm), (act.t, t), (act.xyz, xyz)):
+        for got, expect in ((hr[:, 0], t), (hr[:, 1], bpm), (act[:, 0], t), (act[:, 1:], xyz)):
             assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
     @settings(max_examples=40)
@@ -629,6 +619,49 @@ class TestRecordingValidation:
         with pytest.raises(DataValidationError) as err:
             load_recording(str(tmp_path), "s01")
         assert str(err.value).startswith(f"{paths['act']}: actigraphy epoch 17 has 2 sample(s);")
+
+    def _validate(self, tmp_path, capsys):
+        capsys.readouterr()
+        code = cli.main(["validate", str(tmp_path)])
+        return code, capsys.readouterr().err
+
+    def test_both_signal_files_are_parsed_before_either_is_checked(self, tmp_path, capsys):
+        # a nan bpm, a check fault, and a malformed actigraphy row, a parse fault
+        rec = make_recording(n_epochs=2)
+        bpm = rec.hr.bpm.copy()
+        bpm[3] = np.nan
+        nan_hr = Recording("s01", HeartRateSeries(t=rec.hr.t, bpm=bpm), rec.act, rec.labels)
+        paths = self._paths(tmp_path, nan_hr)
+        with open(paths["act"]) as fh:
+            lines = fh.readlines()
+        lines[4] = lines[4].rstrip("\n") + "x\n"
+        with open(paths["act"], "w") as fh:
+            fh.writelines(lines)
+        bad = lines[4].rstrip("\n").split(",")[3]
+        assert self._validate(tmp_path, capsys) == (
+            2,
+            f"data error: {paths['act']}: could not convert string '{bad}' to float64 "
+            "at line 5, column 4.\n",
+        )
+
+    def test_a_short_signal_is_refused_before_a_sparse_epoch(self, tmp_path, capsys):
+        # heart rate ends in epoch 27 of 30; actigraphy epoch 17 keeps 2 samples
+        rec = make_recording(n_epochs=30)
+        early = rec.hr.t < 840.0
+        in_17 = np.flatnonzero(np.floor(rec.act.t / 30.0) == 17)
+        keep = np.ones(rec.act.t.size, dtype=bool)
+        keep[in_17[2:]] = False
+        bad = Recording(
+            subject_id="s01",
+            hr=HeartRateSeries(t=rec.hr.t[early], bpm=rec.hr.bpm[early]),
+            act=ActigraphySeries(t=rec.act.t[keep], xyz=rec.act.xyz[keep]),
+            labels=rec.labels,
+        )
+        paths = self._paths(tmp_path, bad)
+        assert self._validate(tmp_path, capsys) == (
+            2,
+            f"data error: {paths['hr']}: heart rate signal shorter than label span\n",
+        )
 
 
 class TestCohort:

@@ -18,7 +18,6 @@ import pytest
 
 from sleepstager import ingest
 from sleepstager.ingest import (
-    ACT_HEADER,
     STAGES,
     WRITE_CHUNK,
     ActigraphySeries,
@@ -172,7 +171,7 @@ def test_workers_are_killed_when_the_disk_is_full(monkeypatch):
     monkeypatch.setattr(ingest, "_cpu_count", lambda: 2)
     rec = table_recording(2 * WRITE_CHUNK)
     with pytest.raises(OSError) as err:
-        ingest._write_table("/dev/full", ACT_HEADER, rec.act.t, rec.act.xyz)
+        ingest._write_table("/dev/full", "act", rec.act.t, rec.act.xyz)
     assert err.value.errno == errno.ENOSPC
 
 
@@ -184,7 +183,7 @@ def test_the_caller_holds_a_block_of_text_not_a_share(monkeypatch, tmp_path):
     path = str(tmp_path / "act.csv")
     tracemalloc.start()
     try:
-        ingest._write_table(path, ACT_HEADER, rec.act.t, rec.act.xyz)
+        ingest._write_table(path, "act", rec.act.t, rec.act.xyz)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

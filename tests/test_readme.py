@@ -13,7 +13,7 @@ import numpy as np
 import sleepstager
 from sleepstager import cli
 from sleepstager.config import KEYS
-from sleepstager.ingest import load_heart_rate_csv
+from sleepstager.ingest import _read_table
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -65,7 +65,7 @@ def test_readme_number_forms(tmp_path, capsys):
             fh.write("\n".join([header, f"{t},{form}", *rest]) + "\n")
         capsys.readouterr()
         if form in accepted:
-            bpm = load_heart_rate_csv(hr).bpm[0]
+            bpm = _read_table(hr, "hr")[0, 1]
             assert bpm.tobytes() == np.float64(float(form)).tobytes(), form
         else:
             assert cli.main(["validate", night]) == 2, form

@@ -15,6 +15,7 @@ import pytest
 from sleepstager import evaluate
 from sleepstager.errors import NumericError
 from sleepstager.evaluate import cross_validate, summary_document, write_cv_csv
+from sleepstager.processes import BLAS_THREAD_VARIABLES
 from test_lockstep import cv_args
 
 SEED = 9
@@ -42,7 +43,7 @@ def no_child_left():
 def test_processes_and_their_blas_threads_do_not_outnumber_the_cpus(
     monkeypatch, variables, processes
 ):
-    for name in evaluate.BLAS_THREAD_VARIABLES:
+    for name in BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     for name, value in variables.items():
         monkeypatch.setenv(name, value)
